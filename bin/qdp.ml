@@ -25,211 +25,7 @@ let setup_logs verbose =
 let verbose_arg =
   Arg.(value & flag & info [ "v"; "verbose" ] ~doc:"Trace the attack searches.")
 
-let metrics_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "metrics" ] ~docv:"FILE"
-        ~doc:
-          "Enable observability and write a JSON metrics snapshot (counters, \
-           gauges, histograms) to $(docv) on exit.")
-
-let trace_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "trace" ] ~docv:"FILE"
-        ~doc:
-          "Enable observability and write the span trace (one JSON object per \
-           line) to $(docv) on exit.")
-
-let jobs_arg =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "j"; "jobs" ] ~docv:"N"
-        ~doc:
-          "Worker domains for the parallel regions (default: $(b,QDP_JOBS) \
-           or the machine's recommended domain count; 1 = fully sequential). \
-           Results are byte-identical at every value.")
-
-let profile_arg =
-  Arg.(
-    value & flag
-    & info [ "profile" ]
-        ~doc:
-          "Enable the scoped profiler and kernel calibration sampling; on \
-           exit print the flat profile, the caller->callee attribution tree \
-           and the per-domain busy/idle split to stderr.")
-
-let calib_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "calib" ] ~docv:"FILE"
-        ~doc:
-          "Enable calibration sampling (implied by $(b,--profile)) and write \
-           the per-kernel (MACs, seconds, words) samples to $(docv) on exit.")
-
-let progress_arg =
-  Arg.(
-    value
-    & opt ~vopt:(Some 1.) (some float) None
-    & info [ "progress" ] ~docv:"SECONDS"
-        ~doc:
-          "Emit live progress heartbeats for long grids to stderr, at most \
-           one per $(docv) (default 1; 0 = every tick).")
-
-let workers_arg =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "workers" ] ~docv:"N"
-        ~doc:
-          "Worker processes for the sharded grids (default: $(b,QDP_WORKERS) \
-           or 0 = in-process).  The coordinator supervises them — crash, \
-           hang and corruption recovery with retry/backoff — and results \
-           are byte-identical to $(b,--workers 0) at every value.")
-
-let timeout_arg =
-  Arg.(
-    value
-    & opt (some float) None
-    & info [ "timeout" ] ~docv:"SECONDS"
-        ~doc:
-          "Deadline for one protocol execution and for one worker shard \
-           (default: $(b,QDP_TIMEOUT) or 300 for executions, \
-           $(b,QDP_DIST_TIMEOUT) or 30 for shards; <= 0 disables).  An \
-           overrun execution rejects (timeout-as-reject); an overrun shard \
-           is killed and reassigned.")
-
-let chaos_arg =
-  Arg.(
-    value
-    & opt (some float) None
-    & info [ "chaos" ] ~docv:"P"
-        ~doc:
-          "Chaos injection probability (default: $(b,QDP_CHAOS) or 0).  \
-           Each worker shard attempt crashes, hangs or corrupts its reply \
-           with probability $(docv), at points seeded by \
-           $(b,QDP_CHAOS_SEED) — results must stay byte-identical.")
-
-let model_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "model" ] ~docv:"MODE"
-        ~doc:
-          "Kernel cost model driving seq/par dispatch (default: \
-           $(b,QDP_MODEL) or $(b,off)).  $(b,off) = static MAC cutoffs; \
-           $(b,auto) = run the startup self-benchmark and install its fits; \
-           any other value = load a recorded BENCH_calib.json history from \
-           that path.  The model only picks which bit-identical path runs, \
-           so results never depend on it.")
-
-let progress_json_arg =
-  Arg.(
-    value & flag
-    & info [ "progress-json" ]
-        ~doc:
-          "Format progress heartbeats as single-line JSON instead of human \
-           text.")
-
-(* Every subcommand shares the observability flags; bundle them so the
-   terms stay readable. *)
-type obs_opts = {
-  jobs : int option;
-  workers : int option;
-  timeout : float option;
-  chaos : float option;
-  metrics : string option;
-  trace : string option;
-  profile : bool;
-  calib : string option;
-  progress : float option;
-  progress_json : bool;
-  model : string option;
-}
-
-let obs_term =
-  let mk jobs workers timeout chaos metrics trace profile calib progress
-      progress_json model =
-    {
-      jobs;
-      workers;
-      timeout;
-      chaos;
-      metrics;
-      trace;
-      profile;
-      calib;
-      progress;
-      progress_json;
-      model;
-    }
-  in
-  Term.(
-    const mk $ jobs_arg $ workers_arg $ timeout_arg $ chaos_arg $ metrics_arg
-    $ trace_arg $ profile_arg $ calib_arg $ progress_arg $ progress_json_arg
-    $ model_arg)
-
-(* Run [f] under a root span and profile section named after the
-   subcommand; enable the switches the flags ask for and dump the
-   requested outputs afterwards (also on exceptions). *)
-let with_obs ~cmd o f =
-  Option.iter Qdp_par.set_jobs o.jobs;
-  Option.iter Qdp_dist.set_workers o.workers;
-  Option.iter
-    (fun t ->
-      Qdp_network.Runtime.set_deadline t;
-      Qdp_dist.set_shard_timeout t)
-    o.timeout;
-  Option.iter Qdp_dist.set_chaos o.chaos;
-  (* After the jobs budget is pinned: "auto" probes under the
-     effective pool it will dispatch for. *)
-  (match
-     match o.model with Some m -> Some m | None -> Sys.getenv_opt "QDP_MODEL"
-   with
-  | None | Some "" | Some "off" -> ()
-  | Some "auto" -> ignore (Qdp_linalg.Tune.autotune ())
-  | Some path -> (
-      match Qdp_model.load_file path with
-      | Ok m -> Qdp_model.install m
-      | Error msg ->
-          Printf.eprintf
-            "qdp: --model %s: %s (falling back to static dispatch)\n" path msg));
-  if o.metrics <> None || o.trace <> None then Qdp_obs.set_enabled true;
-  if o.profile || o.calib <> None then begin
-    Qdp_obs.Prof.set_enabled true;
-    Qdp_obs.Calib.set_enabled true
-  end;
-  (match o.progress with
-  | Some interval ->
-      Qdp_obs.Progress.configure ~interval_s:interval
-        ~format:
-          (if o.progress_json then Qdp_obs.Progress.Json
-           else Qdp_obs.Progress.Human)
-        ();
-      Qdp_obs.Progress.set_enabled true
-  | None -> ());
-  (* A dump failure (bad path, full disk) should not mask a completed
-     run with a [Finally_raised] backtrace. *)
-  let dump what f file =
-    try f file
-    with Sys_error msg -> Printf.eprintf "qdp: cannot write %s: %s\n" what msg
-  in
-  let finish () =
-    Option.iter
-      (dump "metrics" @@ fun file ->
-       Qdp_obs.Metrics.write_json file (Qdp_obs.Metrics.snapshot ()))
-      o.metrics;
-    Option.iter (dump "trace" Qdp_obs.Trace.write_jsonl) o.trace;
-    Option.iter (dump "calibration" Qdp_obs.Calib.write_json) o.calib;
-    if o.profile then Format.eprintf "%a@?" Qdp_obs.Prof.report ()
-  in
-  Fun.protect ~finally:finish (fun () ->
-      Qdp_obs.Trace.with_span ("qdp." ^ cmd) @@ fun () ->
-      Qdp_obs.Prof.section cmd f)
+let with_obs ~cmd = Cli.with_obs ~tool:"qdp" ~cmd
 
 let seed_arg =
   Arg.(value & opt int 42 & info [ "seed" ] ~docv:"SEED" ~doc:"Random seed.")
@@ -331,7 +127,7 @@ let entry_cmd entry =
     Term.(
       const (run_entry entry)
       $ verbose_arg $ seed_arg $ n_arg $ r_arg $ t_arg $ d_arg $ reps_arg
-      $ topology_arg $ x_arg $ y_arg $ obs_term)
+      $ topology_arg $ x_arg $ y_arg $ Cli.obs_term)
 
 let list_cmd =
   let run () =
@@ -371,7 +167,7 @@ let check_cmd =
   in
   Cmd.v
     (Cmd.info "check" ~doc:"Run the conformance suite over every protocol.")
-    Term.(const run $ seed_arg $ obs_term)
+    Term.(const run $ seed_arg $ Cli.obs_term)
 
 let xval_cmd =
   let trials_arg =
@@ -434,7 +230,7 @@ let xval_cmd =
           message-passing runtime.")
     Term.(
       const run $ seed_arg $ n_arg $ r_arg $ t_arg $ d_arg $ reps_arg
-      $ topology_arg $ trials_arg $ protocol_arg $ obs_term)
+      $ topology_arg $ trials_arg $ protocol_arg $ Cli.obs_term)
 
 let faults_cmd =
   let open Qdp_faults in
@@ -542,7 +338,7 @@ let faults_cmd =
     Term.(
       const run $ seed_arg $ n_arg $ r_arg $ t_arg $ d_arg $ reps_arg
       $ topology_arg $ trials_arg $ points_arg $ max_strength_arg
-      $ protocol_arg $ kind_arg $ recovery_arg $ turn_arg $ out_arg $ obs_term)
+      $ protocol_arg $ kind_arg $ recovery_arg $ turn_arg $ out_arg $ Cli.obs_term)
 
 (* qdp dist chaos — the supervised multi-process path under seeded
    fault injection, byte-compared against the in-process baseline.
@@ -603,7 +399,7 @@ let dist_cmd =
   in
   let run seed trials obs =
     with_obs ~cmd:"dist-chaos" obs @@ fun () ->
-    let workers = match obs.workers with Some w when w > 0 -> w | _ -> 4 in
+    let workers = match obs.Cli.workers with Some w when w > 0 -> w | _ -> 4 in
     let p = match obs.chaos with Some p when p > 0. -> p | _ -> chaos_default in
     (* tight shard deadline so injected hangs resolve quickly *)
     if obs.timeout = None then Qdp_dist.set_shard_timeout 2.0;
@@ -647,7 +443,7 @@ let dist_cmd =
             supervised worker processes with seeded crash/hang/corruption \
             injection, verify byte-identity against the in-process \
             baseline, and print the recovery matrix; exit 1 on divergence.")
-      Term.(const run $ seed_arg $ trials_arg $ obs_term)
+      Term.(const run $ seed_arg $ trials_arg $ Cli.obs_term)
   in
   Cmd.group
     (Cmd.info "dist"
@@ -685,7 +481,7 @@ let turns_cmd =
           (arXiv:2210.01390 turn reduction): acceptance and soundness, \
           analytic vs sampled through the turn-based engine, against the \
           certificate-size blowup of the fewer-turn compilation.")
-    Term.(const run $ seed_arg $ n_arg $ r_arg $ trials_arg $ out_arg $ obs_term)
+    Term.(const run $ seed_arg $ n_arg $ r_arg $ trials_arg $ out_arg $ Cli.obs_term)
 
 (* qdp perf diff OLD NEW — the noise-aware comparator over the
    BENCH_perf / BENCH_calib / BENCH_obs artifacts; exit 1 on
@@ -879,7 +675,7 @@ let model_cmd =
           crossovers and write BENCH_model.json.  The fits drive seq/par \
           dispatch when installed via $(b,--model auto) / $(b,QDP_MODEL); \
           outputs are byte-identical with or without them.")
-    Term.(const run $ out_arg $ obs_term)
+    Term.(const run $ out_arg $ Cli.obs_term)
 
 (* qdp serve — the always-on verification daemon. *)
 let serve_default = Qdp_serve.Server.default_config
@@ -949,7 +745,7 @@ let serve_cmd =
           admission control and graceful drain on SIGTERM.")
     Term.(
       const run $ socket_arg $ queue_arg $ cache_arg $ batch_arg
-      $ sessions_arg $ obs_term)
+      $ sessions_arg $ Cli.obs_term)
 
 (* qdp load — the load generator / determinism checker. *)
 let load_cmd =
@@ -1037,7 +833,7 @@ let load_cmd =
           $(b,--direct) to check server determinism end to end).")
     Term.(
       const run $ socket_arg $ clients_arg $ rps_arg $ duration_arg
-      $ seed_arg $ out_arg $ direct_arg $ obs_term)
+      $ seed_arg $ out_arg $ direct_arg $ Cli.obs_term)
 
 let main =
   Cmd.group

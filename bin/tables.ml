@@ -832,100 +832,39 @@ let all () =
   variants ();
   check ()
 
-(* Split `--metrics FILE` / `--trace FILE` / `--jobs N` /
-   `--workers N` / `--profile` out of argv; what remains selects the
-   table as before. *)
-let parse_args () =
-  let metrics = ref None
-  and trace = ref None
-  and profile = ref false
-  and rest = ref [] in
-  let argv = Sys.argv in
-  let i = ref 1 in
-  while !i < Array.length argv do
-    (match argv.(!i) with
-    | "--metrics" when !i + 1 < Array.length argv ->
-        incr i;
-        metrics := Some argv.(!i)
-    | "--trace" when !i + 1 < Array.length argv ->
-        incr i;
-        trace := Some argv.(!i)
-    | "--profile" -> profile := true
-    | "--jobs" when !i + 1 < Array.length argv -> (
-        incr i;
-        match int_of_string_opt argv.(!i) with
-        | Some j when j >= 1 -> Qdp_par.set_jobs j
-        | Some _ | None ->
-            Printf.eprintf "tables: --jobs expects a positive integer\n";
-            exit 2)
-    | "--workers" when !i + 1 < Array.length argv -> (
-        incr i;
-        match int_of_string_opt argv.(!i) with
-        | Some w when w >= 0 -> Qdp_dist.set_workers w
-        | Some _ | None ->
-            Printf.eprintf "tables: --workers expects a non-negative integer\n";
-            exit 2)
-    | a -> rest := a :: !rest);
-    incr i
-  done;
-  let cmd = match List.rev !rest with c :: _ -> c | [] -> "all" in
-  (cmd, !metrics, !trace, !profile)
+let tables =
+  [
+    ("t1", table1);
+    ("t2", table2);
+    ("t3", table3);
+    ("soundness", soundness);
+    ("entangled", entangled);
+    ("tree", tree);
+    ("ablation", ablation);
+    ("variants", variants);
+    ("sweep", sweep);
+    ("check", check);
+    ("turns", turns);
+    ("all", all);
+  ]
+
+let table_arg =
+  Cmdliner.Arg.(
+    value
+    & pos 0 (enum (List.map (fun (name, _) -> (name, name)) tables)) "all"
+    & info [] ~docv:"TABLE"
+        ~doc:
+          "Which table to print: t1, t2, t3, soundness, entangled, tree, \
+           ablation, variants, sweep, check, turns or all.")
+
+let run name obs =
+  Cli.with_obs ~tool:"tables" ~cmd:name obs (List.assoc name tables);
+  Format.pp_print_flush fmt ()
 
 let () =
-  let cmd, metrics, trace, profile = parse_args () in
-  (* QDP_MODEL=auto self-benchmarks and installs the kernel cost model
-     (QDP_MODEL=FILE loads recorded calibration samples instead);
-     dispatch decisions change, output bytes must not — CI diffs the
-     tables with and without it. *)
-  (match Sys.getenv_opt "QDP_MODEL" with
-  | None | Some "" | Some "off" -> ()
-  | Some "auto" -> ignore (Qdp_linalg.Tune.autotune ())
-  | Some path -> (
-      match Qdp_model.load_file path with
-      | Ok m -> Qdp_model.install m
-      | Error msg ->
-          Printf.eprintf
-            "tables: QDP_MODEL %s: %s (falling back to static dispatch)\n"
-            path msg));
-  if metrics <> None || trace <> None then Qdp_obs.set_enabled true;
-  if profile then begin
-    Qdp_obs.Prof.set_enabled true;
-    Qdp_obs.Calib.set_enabled true
-  end;
-  let write what f file =
-    try f file
-    with Sys_error msg ->
-      Printf.eprintf "tables: cannot write %s: %s\n" what msg
-  in
-  let dump () =
-    Option.iter
-      (write "metrics" @@ fun file ->
-       Qdp_obs.Metrics.write_json file (Qdp_obs.Metrics.snapshot ()))
-      metrics;
-    Option.iter (write "trace" Qdp_obs.Trace.write_jsonl) trace;
-    (* stderr only: the table output on stdout must stay byte-identical
-       whether or not profiling is on. *)
-    if profile then Format.eprintf "%a@?" Qdp_obs.Prof.report ()
-  in
-  Fun.protect ~finally:dump (fun () ->
-      Qdp_obs.Trace.with_span ("tables." ^ cmd) @@ fun () ->
-      Qdp_obs.Prof.section cmd (fun () ->
-          match cmd with
-          | "t1" -> table1 ()
-          | "t2" -> table2 ()
-          | "t3" -> table3 ()
-          | "soundness" -> soundness ()
-          | "entangled" -> entangled ()
-          | "tree" -> tree ()
-          | "ablation" -> ablation ()
-          | "variants" -> variants ()
-          | "sweep" -> sweep ()
-          | "check" -> check ()
-          | "turns" -> turns ()
-          | "all" -> all ()
-          | other ->
-              Format.fprintf fmt
-                "unknown command %s; expected t1|t2|t3|soundness|entangled|tree|ablation|variants|sweep|check|turns|all@\n"
-                other;
-              exit 1));
-  Format.pp_print_flush fmt ()
+  let open Cmdliner in
+  exit
+    (Cmd.eval
+       (Cmd.v
+          (Cmd.info "tables" ~doc:"Regenerate the paper's tables on stdout.")
+          Term.(const run $ table_arg $ Cli.obs_term)))

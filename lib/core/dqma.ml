@@ -416,7 +416,7 @@ let cross_validate ?(trials = 2000) ?(z = 5.) ~st ~network p inst =
          let name, prover, pst = tagged.(i) in
          let analytic = p.accept inst prover in
          let hits =
-           Qdp_par.monte_carlo_hits ~st:pst ~trials (fun st ->
+           Qdp_dist.monte_carlo_hits ~st:pst ~trials (fun st ->
                Qdp_obs.Metrics.incr obs_crossval_runs;
                Qdp_obs.Progress.step progress;
                network st inst prover)

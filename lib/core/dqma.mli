@@ -198,9 +198,9 @@ type check = {
     inside the [z]-sigma (default 5) Wilson score interval of the
     sampled frequency ({!Qdp_network.Runtime.wilson}).  Increments
     [crossval.checks] and [crossval.disagreements].  Strategies are
-    compared in parallel on the [Qdp_par] pool, each sampling from an
+    the shards of one [Qdp_dist.map_shards] grid, each sampling from an
     RNG state split off [st] in strategy order, so the check list is
-    byte-identical at every [--jobs] value. *)
+    byte-identical at every [--jobs]/[--workers] value. *)
 val cross_validate :
   ?trials:int ->
   ?z:float ->

@@ -99,17 +99,17 @@ let max_pairwise_overlap_random st ~qubits ~count =
       [ ("qubits", Qdp_obs.Trace.Int qubits);
         ("count", Qdp_obs.Trace.Int count) ])
   @@ fun () ->
-  (* O(count^2) pairs; [max] is exact, so splitting the outer loop
-     over the pool returns bit-identical overlaps at any job count *)
+  (* O(count^2) pairs; [max] is exact, so sharding the outer loop
+     returns bit-identical overlaps at any job or worker count *)
   let best =
-    Qdp_par.parallel_reduce ~chunk:1 ~neutral:0. ~combine:Float.max 0 count
-      (fun i ->
+    Qdp_dist.map_shards ~label:"attack/state_packing" ~n:count (fun i ->
         let b = ref 0. in
         for j = i + 1 to count - 1 do
           let ov = Cx.abs (Vec.dot states.(i) states.(j)) in
           if ov > !b then b := ov
         done;
         !b)
+    |> Array.fold_left Float.max 0.
   in
   Qdp_log.Log.debug (fun m ->
       m "lower_bounds state_packing: max overlap %.6g over %d states" best count);

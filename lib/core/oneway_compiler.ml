@@ -83,12 +83,12 @@ let best_attack_accept params proto g ~terminals ~inputs =
                 (Printf.sprintf "geodesic->x%d" (k + 1), Depth_geodesic k);
               ]))
   in
-  (* unlogged search: score on the pool, fold in candidate order *)
+  (* unlogged search: score as one grid, fold in candidate order *)
   let arr = Array.of_list attacks in
   let scores =
-    Qdp_par.parallel_map_array ~chunk:1
-      (fun (_, p) -> single_accept params proto g ~terminals ~inputs p)
-      arr
+    Qdp_dist.map_shards ~label:"attack/oneway" ~n:(Array.length arr) (fun i ->
+        let _, p = arr.(i) in
+        single_accept params proto g ~terminals ~inputs p)
   in
   let best = ref 0. and best_name = ref "none" in
   Array.iteri

@@ -24,7 +24,7 @@ let attack_search ~proto ?attrs f =
   Qdp_obs.Trace.with_span ?attrs (proto ^ ".attack_search") @@ fun () ->
   Qdp_obs.Prof.section (proto ^ ".attack_search") f
 
-(* Candidate grids are independent, so score them on the domain pool;
+(* Candidate grids are independent, so score them as one grid;
    the results are then replayed in list order through
    [attack_candidate] and the max fold, so logs, metrics and
    tie-breaking (first strict improvement wins) are exactly those of
@@ -41,19 +41,8 @@ let best_candidate ~proto ~score candidates =
     Qdp_obs.Progress.step progress;
     s
   in
-  (* Candidate count is the work axis of the attack grid; the model
-     gate only bypasses the in-process fan-out (worker-process
-     sharding keeps its own policy). *)
-  let par =
-    Qdp_model.decide ~kernel:"grid.attack"
-      ~macs:(float_of_int (Array.length arr))
-      ~default:true
-  in
   let scores =
-    if (not par) && Qdp_dist.workers () = 0 then
-      Array.init (Array.length arr) eval
-    else
-      Qdp_dist.map_shards ~label:("attack/" ^ proto) ~n:(Array.length arr) eval
+    Qdp_dist.map_shards ~label:("attack/" ^ proto) ~n:(Array.length arr) eval
   in
   Qdp_obs.Progress.finish progress;
   let best = ref 0. and best_name = ref "none" in

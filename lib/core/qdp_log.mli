@@ -20,11 +20,12 @@ val attack_search :
   'a
 
 (** [best_candidate ~proto ~score candidates] scores every
-    [(name, candidate)] on the [Qdp_par] pool, then replays the
+    [(name, candidate)] as one [Qdp_dist.map_shards] grid, then replays the
     results in list order through {!attack_candidate} and a
     first-strict-improvement max fold — the returned
     [(best score, best name)], the debug log and the metrics are
-    byte-identical to a sequential search at every [--jobs] value.
+    byte-identical to a sequential search at every [--jobs]/[--workers]
+    value.
     Returns [(0., "none")] on an empty list (or when nothing beats
     0). *)
 val best_candidate :

@@ -101,7 +101,7 @@ let best_attack_accept params g ~terminals ~inputs ~i ~j =
     (* flip the cheapest-to-lie directions to fix the count *)
     let want_ge = c < target in
     let flips_needed = abs (target - c) in
-    (* score the flippable directions on the pool, then log and
+    (* score the flippable directions as one grid, then log and
        accumulate in the original k order *)
     let flippable =
       Array.of_list
@@ -110,11 +110,11 @@ let best_attack_accept params g ~terminals ~inputs ~i ~j =
            (List.init t (fun k -> k)))
     in
     let scores =
-      Qdp_par.parallel_map_array ~chunk:1
-        (fun k ->
+      Qdp_dist.map_shards ~label:"attack/rv" ~n:(Array.length flippable)
+        (fun idx ->
           Sim.repeat_accept params.repetitions
-            (path_accept_for_claim params tr ~inputs ~i ~k ~claim_ge:want_ge))
-        flippable
+            (path_accept_for_claim params tr ~inputs ~i ~k:flippable.(idx)
+               ~claim_ge:want_ge))
     in
     let candidates = ref [] in
     Array.iteri

@@ -52,12 +52,12 @@ let best_attack_accept params x y =
     :: List.init (params.r - 1) (fun j ->
            (Printf.sprintf "switch@%d" (j + 1), switch j))
   in
-  (* unlogged search: score on the pool, fold in candidate order *)
+  (* unlogged search: score as one grid, fold in candidate order *)
   let arr = Array.of_list candidates in
   let scores =
-    Qdp_par.parallel_map_array ~chunk:1
-      (fun (_, p) -> single_accept params x y p)
-      arr
+    Qdp_dist.map_shards ~label:"attack/variants" ~n:(Array.length arr) (fun i ->
+        let _, p = arr.(i) in
+        single_accept params x y p)
   in
   let best = ref 0. and best_name = ref "none" in
   Array.iteri

@@ -666,15 +666,21 @@ let coordinator ~label ~n ~(f : int -> 'r) nworkers : 'r array =
 
 (* -- public entry points -------------------------------------------- *)
 
-(* Guards nested regions: a shard closure that itself calls
-   [map_shards] (xval shards calling [monte_carlo_hits]) must run the
-   inner grid in-process. *)
-let region_depth = ref 0
+(* Open [map_shards] regions, summed over every domain.  Only the
+   outermost region may fork or count a fallback: a shard closure that
+   itself calls [map_shards] (xval shards calling [monte_carlo_hits])
+   runs the inner grid in-process.  Atomic because in-process shards
+   run on pool domains. *)
+let region_depth = Atomic.make 0
 
 let in_process ~n f =
   Qdp_par.parallel_map_array ~chunk:1 f (Array.init n (fun i -> i))
 
-let fallback_report ~label ~n =
+(* Worker processes were configured but this region cannot fork: run
+   it in-process and say so. *)
+let fallback ~label ~n f =
+  let r = in_process ~n f in
+  Metrics.incr c_fallbacks;
   last_report_ref :=
     Some
       {
@@ -691,52 +697,40 @@ let fallback_report ~label ~n =
         rp_respawns = 0;
         rp_degraded = 0;
         rp_fallback = true;
-      }
+      };
+  r
 
 let map_shards ?(label = "shards") ~n f =
   if n <= 0 then [||]
   else begin
     let w = workers () in
-    let forkable =
-      w > 0 && n > 1 && !region_depth = 0 && not (Qdp_par.pool_started ())
-    in
-    incr region_depth;
+    let outermost = Atomic.fetch_and_add region_depth 1 = 0 in
     Fun.protect
-      ~finally:(fun () -> decr region_depth)
+      ~finally:(fun () -> Atomic.decr region_depth)
       (fun () ->
-        if not forkable then begin
-          if w > 0 then begin
-            Metrics.incr c_fallbacks;
-            fallback_report ~label ~n
-          end;
-          in_process ~n f
-        end
+        if w = 0 || n = 1 || not outermost then in_process ~n f
+        else if Qdp_par.pool_started () then fallback ~label ~n f
         else
           Qdp_obs.Trace.with_span ("dist/" ^ label) (fun () ->
               match coordinator ~label ~n ~f (min w n) with
               | r -> r
               | exception Failure _ when not (Qdp_par.pool_started ()) ->
                   (* lost the fork-vs-domain race *)
-                  Metrics.incr c_fallbacks;
-                  fallback_report ~label ~n;
-                  in_process ~n f))
+                  fallback ~label ~n f))
   end
+
+let mc_chunk = 64
 
 let monte_carlo_hits ?label ~st ~trials f =
   if trials <= 0 then 0
   else begin
-    let mc = Qdp_par.mc_chunk in
-    let nchunks = (trials + mc - 1) / mc in
-    (* Same split discipline as [Qdp_par.monte_carlo_hits]: chunk
-       states peel off [st] in chunk order on the caller, so [st]
+    let nchunks = (trials + mc_chunk - 1) / mc_chunk in
+    (* Chunk states peel off [st] in chunk order on the caller, so [st]
        advances identically whatever executes the chunks. *)
-    let states = Array.make nchunks st in
-    for k = 0 to nchunks - 1 do
-      states.(k) <- Random.State.split st
-    done;
+    let states = Array.init nchunks (fun _ -> Random.State.split st) in
     let chunk k =
-      let b = k * mc in
-      let e = min trials (b + mc) in
+      let b = k * mc_chunk in
+      let e = min trials (b + mc_chunk) in
       let s = states.(k) in
       let h = ref 0 in
       for _ = b + 1 to e do
@@ -744,18 +738,6 @@ let monte_carlo_hits ?label ~st ~trials f =
       done;
       !h
     in
-    (* The cost model only gates the in-process path: with worker
-       processes configured, sharding policy belongs to [map_shards]
-       (fork guards, chaos, degradation) and stays as-is. *)
-    let par =
-      Qdp_model.decide ~kernel:"grid.monte_carlo" ~macs:(float_of_int trials)
-        ~default:true
-    in
-    let hits =
-      if (not par) && workers () = 0 then Array.init nchunks chunk
-      else
-        let label = match label with Some l -> l ^ "/mc" | None -> "mc" in
-        map_shards ~label ~n:nchunks chunk
-    in
-    Array.fold_left ( + ) 0 hits
+    let label = match label with Some l -> l ^ "/mc" | None -> "mc" in
+    Array.fold_left ( + ) 0 (map_shards ~label ~n:nchunks chunk)
   end

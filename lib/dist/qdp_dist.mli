@@ -1,36 +1,48 @@
-(** Fault-tolerant multi-process sharding for the parallel grids.
+(** The one front door for parallel grids, with fault-tolerant
+    multi-process sharding behind it.
 
-    {!map_shards} fans a pure indexed computation out over forked
-    worker processes: the coordinator forks [workers ()] children
-    (which inherit the shard closure — nothing but results crosses the
-    pipe), hands out shards over length-prefixed CRC-checked frames
-    ({!Frame}), and supervises them with per-shard deadlines, bounded
-    retries with exponential backoff + jitter ({!Backoff}), and
-    deterministic reassignment.  A worker that crashes, hangs past the
-    shard deadline, or returns a corrupt frame is killed and replaced;
-    a shard that exhausts its attempt budget is computed in-process.
-    When the process pool cannot be used at all — [workers () = 0],
-    the [Qdp_par] domain pool already started (OCaml 5 forbids [fork]
-    after a domain spawn), nested inside another region, or every
-    respawn budget spent — the call degrades to
-    [Qdp_par.parallel_map_array] over the same indices.
+    Every grid in the engines — attack-candidate scores, fault-sweep
+    points, cross-validation strategies, Monte-Carlo trial chunks —
+    runs through {!map_shards} or {!monte_carlo_hits}; nothing outside
+    [lib/dist] and the dense kernels in [lib/linalg] calls [Qdp_par]
+    directly.  {!map_shards} picks the execution:
+
+    - [workers () > 0], outermost region, [n > 1], domain pool not yet
+      started: fork worker processes.  The coordinator forks
+      [workers ()] children (which inherit the shard closure — nothing
+      but results crosses the pipe), hands out shards over
+      length-prefixed CRC-checked frames ({!Frame}), and supervises
+      them with per-shard deadlines, bounded retries with exponential
+      backoff + jitter ({!Backoff}), and deterministic reassignment.  A
+      worker that crashes, hangs past the shard deadline, or returns a
+      corrupt frame is killed and replaced; a shard that exhausts its
+      attempt budget is computed in-process.
+    - otherwise: [Qdp_par.parallel_map_array ~chunk:1] over the same
+      indices, on the domain pool.
+
+    A {e fallback} is the one case where processes were asked for and
+    could not be used: an outermost region with [workers () > 0] and
+    [n > 1] whose fork is impossible because the [Qdp_par] pool
+    already started (OCaml 5 forbids [fork] after a domain spawn) or
+    the fork failed.  Only that case bumps [dist.fallbacks] and writes
+    a [rp_fallback] {!report}.  Nested regions and one-shard regions
+    run in-process without counting: there is nothing to fork for.
 
     {2 Determinism contract}
 
     Shard [i] must be a self-seeded pure function of [i] (every wired
-    call site derives per-shard RNG state from the shard index, PR 4's
-    seed-splitting).  The coordinator stores results by shard index,
-    so the output array — and, through it, every downstream artifact —
-    is byte-identical to the [--jobs 1 --workers 0] run no matter
-    which workers die, in what order shards are retried, or what the
-    chaos mode injects.  Chaos events are keyed on
-    [(chaos seed, shard, attempt)], never on worker identity or time,
-    so event {e counts} are reproducible too.
+    call site derives per-shard RNG state from the shard index).  The
+    coordinator stores results by shard index, so the output array —
+    and, through it, every downstream artifact — is byte-identical to
+    the [--jobs 1 --workers 0] run no matter which workers die, in what
+    order shards are retried, or what the chaos mode injects.  Chaos
+    events are keyed on [(chaos seed, shard, attempt)], never on worker
+    identity or time, so event {e counts} are reproducible too.
 
     Every transition is visible when observability is on: [dist.*]
     counters (tasks, results, retries, crashes, hangs, corrupt frames,
-    duplicates, respawns, degraded shards, in-process fallbacks), a
-    span per region, and [Progress] heartbeats per completed shard. *)
+    duplicates, respawns, degraded shards, fallbacks), a span per
+    forked region, and [Progress] heartbeats per completed shard. *)
 
 module Backoff = Backoff
 module Frame = Frame
@@ -89,7 +101,9 @@ val set_chaos_seed : int -> unit
 
 (** {2 Execution} *)
 
-(** Shard accounting for the most recent {!map_shards} region. *)
+(** Shard accounting for the most recent region that forked or fell
+    back.  In-process regions with nothing to fork (see above) write
+    none. *)
 type report = {
   rp_label : string;
   rp_workers : int;  (** workers actually forked (0 = in-process) *)
@@ -103,28 +117,35 @@ type report = {
   rp_duplicates : int;  (** late results for already-done shards *)
   rp_respawns : int;  (** replacement workers forked *)
   rp_degraded : int;  (** shards past their attempt budget *)
-  rp_fallback : bool;  (** whole region ran in-process *)
+  rp_fallback : bool;  (** a fallback: whole region ran in-process *)
 }
 
-(** Report for the last completed {!map_shards} call on this domain,
-    if any — a test/diagnostics hook. *)
+(** Report for the last region that wrote one, if any — a
+    test/diagnostics hook. *)
 val last_report : unit -> report option
 
-(** [map_shards ?label ~n f] is [Array.init n f] computed under the
-    supervision scheme above.  [f] must be pure, self-seeded per
-    index, and its results marshalable plain data (no closures).
-    Exceptions raised by [f] keep sequential semantics: the failing
-    shard is re-run in-process so the original exception propagates.
-    In-process execution (fallback or [workers () = 0]) delegates to
-    [Qdp_par.parallel_map_array ~chunk:1], byte-identical to the
-    pre-dist call sites. *)
+(** [map_shards ?label ~n f] is [Array.init n f], run as described
+    above.  [f] must be pure, self-seeded per index, and its results
+    marshalable plain data (no closures).  Exceptions raised by [f]
+    keep sequential semantics: the failing shard is re-run in-process
+    so the original exception propagates.  [label] names the region's
+    span, progress line and {!report}. *)
 val map_shards : ?label:string -> n:int -> (int -> 'r) -> 'r array
 
-(** Drop-in for [Qdp_par.monte_carlo_hits]: same chunking, same
-    in-chunk-order state splitting off [st] (so [st] advances
-    identically), with the chunk evaluations sharded over worker
-    processes.  Byte-identical results — and caller state — at every
-    [--jobs]/[--workers] combination. *)
+(** Trials per RNG chunk in {!monte_carlo_hits}: part of the
+    determinism contract (changing it changes every sampled number),
+    so it is fixed and public. *)
+val mc_chunk : int
+
+(** [monte_carlo_hits ?label ~st ~trials f] counts how often the
+    randomized trial [f] returns [true] over [trials] runs.  The
+    trials are partitioned into {!mc_chunk}-sized chunks; chunk [k]
+    runs on its own RNG state, the [k]-th state split off [st] on the
+    caller ([st] itself advances by exactly the number of chunks), and
+    the chunks are the shards of one {!map_shards} region labelled
+    [label ^ "/mc"].  The count — and the caller's [st] — are
+    therefore byte-identical at every [--jobs]/[--workers]
+    combination.  Returns [0] when [trials <= 0]. *)
 val monte_carlo_hits :
   ?label:string ->
   st:Random.State.t ->

@@ -205,18 +205,10 @@ let sweep_entry cfg ~pi entry =
         Qdp_obs.Progress.step progress;
         pt
       in
-      let par =
-        Qdp_model.decide ~kernel:"grid.sweep"
-          ~macs:(float_of_int (Array.length flat))
-          ~default:true
-      in
       let measured =
-        if (not par) && Qdp_dist.workers () = 0 then
-          Array.init (Array.length flat) eval
-        else
-          Qdp_dist.map_shards
-            ~label:("faults/" ^ suite.fs_id)
-            ~n:(Array.length flat) eval
+        Qdp_dist.map_shards
+          ~label:("faults/" ^ suite.fs_id)
+          ~n:(Array.length flat) eval
       in
       Qdp_obs.Progress.finish progress;
       let npoints = List.length cfg.grid in

@@ -92,10 +92,10 @@ type t = {
 val violations : t -> int
 
 (** [run cfg] executes the sweep, measuring each protocol's
-    kinds x strengths grid in parallel on the [Qdp_par] pool.  All
+    kinds x strengths grid as one [Qdp_dist.map_shards] grid.  All
     randomness derives from [cfg.seed] plus stable (protocol, kind,
     grid, case) indices, so a rerun is bit-identical — at any
-    [--jobs] value — and restricting [protocols]/[kinds] never
+    [--jobs]/[--workers] value — and restricting [protocols]/[kinds] never
     shifts the seeds of what is still swept.  Each point increments
     [faults.points]; failed soundness checks increment
     [faults.soundness_violations]. *)

@@ -3,12 +3,7 @@
    sequential and then the parallel path, fit both, install.  Probes
    use deterministic synthetic data (an LCG, no Random dependency) and
    adapt repetition counts to the clock so the whole calibration stays
-   in the tens-of-milliseconds range on a warm host.
-
-   Grid kernels ("grid.*") are not probed: their unit of work is a
-   caller-supplied trial, which a synthetic benchmark cannot
-   represent.  Their fits come from recorded BENCH_calib.json
-   histories (qdp --model FILE). *)
+   in the tens-of-milliseconds range on a warm host. *)
 
 (* Deterministic fill in [-0.5, 0.5), dense (no zeros to skip) so the
    probes time the full-MAC path. *)

@@ -7,11 +7,7 @@
     of wall clock.  On a host whose effective pool is one domain the
     parallel pass is skipped (it would run the identical sequential
     loops and duplicate the population under a second label), leaving
-    every crossover at "never": exactly right for that host.
-
-    Grid kernels ([grid.*]) are not probed — their work unit is a
-    caller-supplied closure; their fits come from recorded
-    [BENCH_calib.json] histories instead. *)
+    every crossover at "never": exactly right for that host. *)
 
 val calibrate : unit -> Qdp_model.t
 

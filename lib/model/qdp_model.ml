@@ -130,87 +130,6 @@ let of_observations ~jobs obs =
   in
   { m_jobs = jobs; m_kernels = kernels }
 
-let of_calib ~jobs views =
-  of_observations ~jobs
-    (List.concat_map
-       (fun v ->
-         List.map
-           (fun s ->
-             {
-               o_kernel = v.Qdp_obs.Calib.k_name;
-               o_path = s.Qdp_obs.Calib.s_path;
-               o_macs = s.Qdp_obs.Calib.s_macs;
-               o_seconds = s.Qdp_obs.Calib.s_seconds;
-               o_minor = s.Qdp_obs.Calib.s_minor_words;
-             })
-           v.Qdp_obs.Calib.k_samples)
-       views)
-
-let load_file path =
-  let read () =
-    let ic = open_in_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  in
-  match read () with
-  | exception Sys_error msg -> Error msg
-  | text -> (
-      match Json.parse text with
-      | exception Json.Parse_error msg ->
-          Error (path ^ ": JSON parse error at " ^ msg)
-      | j -> (
-          match Json.member "calibration" j with
-          | None -> Error (path ^ ": no \"calibration\" key")
-          | Some entries ->
-              let obs =
-                List.concat_map
-                  (fun entry ->
-                    match Json.member "kernel" entry with
-                    | Some (Json.String name) ->
-                        let samples =
-                          match Json.member "samples" entry with
-                          | Some v -> Json.to_list v
-                          | None -> []
-                        in
-                        List.filter_map
-                          (fun s ->
-                            let num k =
-                              match Json.member k s with
-                              | Some v -> Json.num_opt v
-                              | None -> None
-                            in
-                            let path_tag =
-                              match Json.member "path" s with
-                              | Some (Json.String p) -> p
-                              | _ -> "seq"
-                            in
-                            match (num "macs", num "seconds") with
-                            | Some m, Some sec ->
-                                Some
-                                  {
-                                    o_kernel = name;
-                                    o_path = path_tag;
-                                    o_macs = m;
-                                    o_seconds = sec;
-                                    o_minor =
-                                      Option.value ~default:0.
-                                        (num "minor_words");
-                                  }
-                            | _ -> None)
-                          samples
-                    | _ -> [])
-                  (Json.to_list entries)
-              in
-              let jobs =
-                match Json.member "jobs" j with
-                | Some v ->
-                    Option.value ~default:1
-                      (Option.map int_of_float (Json.num_opt v))
-                | None -> 1
-              in
-              Ok (of_observations ~jobs obs)))
-
 (* -- installed model and dispatch ----------------------------------- *)
 
 (* The hot path ([decide]) is one atomic load plus a hashtable probe,

@@ -1,15 +1,16 @@
 (** Calibrated per-kernel cost model driving seq/par kernel dispatch.
 
-    ROADMAP item 5: instead of the single hard-coded MAC cutoff
-    ([Mat.par_mac_cutoff]), each instrumented kernel gets a linear
-    cost model [seconds ~ a + b * MACs] (plus an allocation rate)
-    fitted separately for its sequential and parallel paths from
-    {!Qdp_obs.Calib} samples — either a short startup self-benchmark
-    ([Qdp_linalg.Tune]) or a recorded [BENCH_calib.json] history.  The
-    per-kernel crossover (the MAC count where the parallel fit starts
-    to win) replaces the fixed cutoff at every dispatch site; when no
-    model is installed every site falls back to its old deterministic
-    cutoff, so behaviour without calibration is unchanged.
+    Instead of the single hard-coded MAC cutoff
+    ([Mat.par_mac_cutoff]), each dense kernel ([mat.*], [batch.*])
+    gets a linear cost model [seconds ~ a + b * MACs] (plus an
+    allocation rate) fitted separately for its sequential and parallel
+    paths from a short startup self-benchmark ([Qdp_linalg.Tune],
+    [--model auto]).  The per-kernel crossover (the MAC count where
+    the parallel fit starts to win) replaces the fixed cutoff at every
+    dispatch site; when no model is installed every site falls back to
+    its old deterministic cutoff, so behaviour without calibration is
+    unchanged.  Only [Qdp_linalg] consults the model; parallel grids
+    are dispatched by [Qdp_dist] alone.
 
     Dispatch decisions only pick {e which} path runs.  Every kernel
     path produces bit-identical floats, so installing a model (or a
@@ -73,15 +74,6 @@ val kernel_crossover : kernel -> float option
 (** [of_observations ~jobs obs] groups observations by kernel (first
     seen order) and fits both paths of each. *)
 val of_observations : jobs:int -> obs list -> t
-
-(** [of_calib ~jobs views] builds observations from live
-    {!Qdp_obs.Calib} kernel views (one observation per raw sample). *)
-val of_calib : jobs:int -> Qdp_obs.Calib.kernel_view list -> t
-
-(** [load_file path] reads a recorded [BENCH_calib.json]; samples
-    without a ["path"] field (histories predating the tag) count as
-    sequential. *)
-val load_file : string -> (t, string) result
 
 (** {1 Installation and dispatch} *)
 

@@ -224,11 +224,11 @@ val run_accepts : Graph.t -> rounds:int -> ('s, 'm) program -> bool
 
 (** [estimate_acceptance ~st ~trials f] runs the randomized trial [f]
     (typically a [run_once] closure) [trials] times and returns the
-    empirical acceptance frequency.  The trials execute on the
-    [Qdp_par] pool in fixed chunks of [Qdp_par.mc_chunk], each chunk
-    on an RNG state split off [st] in chunk order, so the frequency —
-    and the post-call position of [st] — are byte-identical at every
-    [--jobs] value.  Threading [st] — never the global RNG — keeps
+    empirical acceptance frequency.  The trials run through
+    [Qdp_dist.monte_carlo_hits] in fixed chunks of [Qdp_dist.mc_chunk],
+    each chunk on an RNG state split off [st] in chunk order, so the
+    frequency — and the post-call position of [st] — are
+    byte-identical at every [--jobs]/[--workers] value.  Threading [st] — never the global RNG — keeps
     every experiment bit-reproducible from a seed. *)
 val estimate_acceptance :
   st:Random.State.t -> trials:int -> (Random.State.t -> bool) -> float

@@ -221,77 +221,3 @@ let parallel_map_array ?chunk f arr =
     parallel_for ?chunk 0 n (fun i -> out.(i) <- Some (f arr.(i)));
     Array.map (function Some v -> v | None -> assert false) out
   end
-
-let parallel_reduce ?chunk ~neutral ~combine lo hi f =
-  let n = hi - lo in
-  if n <= 0 then neutral
-  else if effective_jobs () = 1 then begin
-    let acc = ref neutral in
-    for i = lo to hi - 1 do
-      acc := combine !acc (f i)
-    done;
-    !acc
-  end
-  else begin
-    let c = chunk_size ?chunk n in
-    let nchunks = (n + c - 1) / c in
-    let partial = Array.make nchunks None in
-    run_tasks
-      (Array.init nchunks (fun k () ->
-           let b = lo + (k * c) in
-           let e = min hi (b + c) in
-           let acc = ref (f b) in
-           for i = b + 1 to e - 1 do
-             acc := combine !acc (f i)
-           done;
-           partial.(k) <- Some !acc));
-    Array.fold_left
-      (fun acc p -> match p with Some v -> combine acc v | None -> acc)
-      neutral partial
-  end
-
-(* -- deterministic Monte-Carlo ------------------------------------- *)
-
-let mc_chunk = 64
-
-let monte_carlo_hits ~st ~trials f =
-  if trials <= 0 then 0
-  else begin
-    (* Grid kernels have no MAC count; the trial count is the work
-       axis the cost model fits.  Default [true] preserves the
-       pre-model behaviour (always offer the grid to the pool and let
-       [effective_jobs] clamp it). *)
-    let par =
-      Qdp_model.decide ~kernel:"grid.monte_carlo" ~macs:(float_of_int trials)
-        ~default:true
-    in
-    let path = if par && effective_jobs () > 1 then "par" else "seq" in
-    Qdp_obs.Calib.sample ~kernel:"grid.monte_carlo"
-      ~macs:(float_of_int trials) ~path
-    @@ fun () ->
-    let nchunks = (trials + mc_chunk - 1) / mc_chunk in
-    (* Split in chunk order on the calling domain: both the chunk
-       states and the post-call position of [st] are independent of
-       the job count and of the dispatch decision. *)
-    let states = Array.make nchunks st in
-    for k = 0 to nchunks - 1 do
-      states.(k) <- Random.State.split st
-    done;
-    let hits = Array.make nchunks 0 in
-    let chunk k =
-      let b = k * mc_chunk in
-      let e = min trials (b + mc_chunk) in
-      let s = states.(k) in
-      let h = ref 0 in
-      for _ = b + 1 to e do
-        if f s then incr h
-      done;
-      hits.(k) <- !h
-    in
-    if par then parallel_for ~chunk:1 0 nchunks chunk
-    else
-      for k = 0 to nchunks - 1 do
-        chunk k
-      done;
-    Array.fold_left ( + ) 0 hits
-  end

@@ -1,20 +1,21 @@
 (** Domain-parallel execution over a lazily-started, reusable pool.
 
-    Every embarrassingly parallel loop in the engines (Monte-Carlo
-    shot loops, attack-search candidate grids, fault-sweep grids,
-    dense kernels) funnels through this module.  The pool is built on
-    stdlib [Domain] only — no external dependency — and is started on
-    the first parallel call, then reused for the life of the process.
+    The dense kernels ([Mat], [Batch]) split their loops through this
+    module, and [Qdp_dist.map_shards] uses it as its in-process path.
+    Grids (attack candidates, fault sweeps, Monte-Carlo trials) do not
+    call it directly: they go through [Qdp_dist], which owns the seeded
+    Monte-Carlo loop and decides between worker processes and this
+    pool.  The pool is built on stdlib [Domain] only — no external
+    dependency — and is started on the first parallel call, then
+    reused for the life of the process.
 
     {2 Determinism contract}
 
     [jobs () = 1] takes the exact sequential path: a plain [for] loop
-    on the calling domain, no pool, no chunking of pure loops.  For
-    randomized work, {!monte_carlo_hits} partitions the trials into
-    fixed-size chunks whose RNG states are split off the caller's
-    state {e in chunk order, independent of the job count}, so the
-    result is byte-identical for every value of [--jobs] — parallel
-    runs reproduce sequential runs per seed.
+    on the calling domain, no pool, no chunking.  At any other job
+    count every iteration still runs exactly once and writes only its
+    own state, so results are byte-identical for every value of
+    [--jobs].
 
     {2 Profiling}
 
@@ -78,28 +79,3 @@ val parallel_for : ?chunk:int -> int -> int -> (int -> unit) -> unit
 (** [parallel_map_array ?chunk f arr] is [Array.map f arr] with the
     applications distributed over the pool. *)
 val parallel_map_array : ?chunk:int -> ('a -> 'b) -> 'a array -> 'b array
-
-(** [parallel_reduce ?chunk ~neutral ~combine lo hi f] folds
-    [combine] over [f lo .. f (hi - 1)].  Chunks are combined in index
-    order, but the chunk boundaries depend on [chunk] (and, by
-    default, on the job count), so [combine] must be exactly
-    associative with [neutral] as identity — integer sums, [max],
-    [min] — for results to be independent of [--jobs]. *)
-val parallel_reduce :
-  ?chunk:int -> neutral:'a -> combine:('a -> 'a -> 'a) -> int -> int -> (int -> 'a) -> 'a
-
-(** Trials per RNG chunk in {!monte_carlo_hits}: part of the
-    determinism contract (changing it changes every sampled number),
-    so it is fixed and public. *)
-val mc_chunk : int
-
-(** [monte_carlo_hits ~st ~trials f] counts how often the randomized
-    trial [f] returns [true] over [trials] runs.  The trials are
-    partitioned into {!mc_chunk}-sized chunks; chunk [k] runs on its
-    own RNG state, the [k]-th state split off [st] ([st] itself
-    advances by exactly the number of chunks, whatever the job
-    count).  The count — and the caller's [st] — are therefore
-    byte-identical at every [--jobs] value.  Returns [0] when
-    [trials <= 0]. *)
-val monte_carlo_hits :
-  st:Random.State.t -> trials:int -> (Random.State.t -> bool) -> int

@@ -47,6 +47,21 @@ let report () =
   | Some r -> r
   | None -> Alcotest.fail "no report recorded"
 
+(* [f ()] with observability on, paired with how much it moved the
+   [dist.fallbacks] counter. *)
+let counting_fallbacks f =
+  Qdp_obs.with_enabled true (fun () ->
+      let count () =
+        match
+          Qdp_obs.Metrics.find (Qdp_obs.Metrics.snapshot ()) "dist.fallbacks"
+        with
+        | Some (Qdp_obs.Metrics.Counter_v v) -> v
+        | _ -> 0
+      in
+      let before = count () in
+      let r = f () in
+      (r, count () - before))
+
 (* --- backoff --- *)
 
 let test_backoff_delays () =
@@ -168,6 +183,7 @@ let shard_value i =
   (i, Random.State.float st 1.0)
 
 let seq_shards n = Array.init n shard_value
+let mc_trial st = Random.State.float st 1.0 < 0.37
 
 let test_map_shards_identity () =
   let expected = seq_shards 37 in
@@ -188,7 +204,32 @@ let test_map_shards_empty_and_zero_workers () =
   with_dist ~workers:0 (fun () ->
       Alcotest.(check bool)
         "workers=0 in-process" true
-        (Dist.map_shards ~n:5 shard_value = seq_shards 5))
+        (Dist.map_shards ~n:5 shard_value = seq_shards 5));
+  (* Nothing to fork for is not a fallback: a one-shard region, and a
+     region nested inside another, run in-process without touching
+     [dist.fallbacks] or the last report. *)
+  let one_shard () =
+    Dist.monte_carlo_hits ~label:"t/one" ~st:(Random.State.make [| 3 |])
+      ~trials:10 mc_trial
+  in
+  let expected = with_dist ~workers:0 one_shard in
+  with_dist ~workers:2 (fun () ->
+      let before = Dist.last_report () in
+      let hits, fallbacks = counting_fallbacks one_shard in
+      Alcotest.(check int) "one shard: same hits" expected hits;
+      Alcotest.(check int) "one shard: no fallback" 0 fallbacks;
+      Alcotest.(check bool) "one shard: no report" true
+        (Dist.last_report () == before);
+      let got, fallbacks =
+        counting_fallbacks (fun () ->
+            Dist.map_shards ~label:"t/outer" ~n:1 (fun _ ->
+                Dist.map_shards ~label:"t/inner" ~n:5 shard_value))
+      in
+      Alcotest.(check bool) "nested: in-process result" true
+        (got = [| seq_shards 5 |]);
+      Alcotest.(check int) "nested: no fallback" 0 fallbacks;
+      Alcotest.(check bool) "nested: no report" true
+        (Dist.last_report () == before))
 
 (* --- chaos: the central invariant --- *)
 
@@ -297,25 +338,36 @@ let test_metrics_cross_process () =
 
 (* --- monte_carlo_hits identity --- *)
 
-let mc_trial st = Random.State.float st 1.0 < 0.37
-
 let test_monte_carlo_identity () =
-  let run () =
-    let st = Random.State.make [| 2024 |] in
-    let hits = Dist.monte_carlo_hits ~st ~trials:5000 mc_trial in
+  let run ~seed ~trials () =
+    let st = Random.State.make [| seed |] in
+    let hits = Dist.monte_carlo_hits ~st ~trials mc_trial in
     (* the caller's state must advance identically too *)
     (hits, Random.State.bits st)
   in
-  let seq = with_dist ~workers:0 run in
-  let par = Qdp_par.monte_carlo_hits ~st:(Random.State.make [| 2024 |]) ~trials:5000 mc_trial in
-  Alcotest.(check int) "workers=0 matches Qdp_par" par (fst seq);
-  let dist = with_dist ~workers:3 run in
+  (* pinned values: any change to the chunk size or the split order
+     changes every sampled number in the tables *)
+  let seq = with_dist ~workers:0 (run ~seed:2024 ~trials:5000) in
+  Alcotest.(check (pair int int)) "seed 2024, 5000 trials" (1825, 669240263) seq;
+  let dist = with_dist ~workers:3 (run ~seed:2024 ~trials:5000) in
   Alcotest.(check bool) "workers=3 identical incl. caller state" true
     (dist = seq);
   let chaotic =
-    with_dist ~workers:3 ~chaos:0.4 ~chaos_seed:8 ~timeout:0.3 run
+    with_dist ~workers:3 ~chaos:0.4 ~chaos_seed:8 ~timeout:0.3
+      (run ~seed:2024 ~trials:5000)
   in
-  Alcotest.(check bool) "chaotic run identical" true (chaotic = seq)
+  Alcotest.(check bool) "chaotic run identical" true (chaotic = seq);
+  (* chunk-boundary trial counts *)
+  List.iter
+    (fun (seed, trials) ->
+      Alcotest.(check (pair int int))
+        (Printf.sprintf "seed %d trials %d: workers 0 = workers 3" seed trials)
+        (with_dist ~workers:0 (run ~seed ~trials))
+        (with_dist ~workers:3 (run ~seed ~trials)))
+    [ (1, 1); (2, 63); (3, 64); (4, 65); (5, 1000); (6, 2048) ];
+  Alcotest.(check int) "trials <= 0 gives 0 hits" 0
+    (Dist.monte_carlo_hits ~st:(Random.State.make [| 9 |]) ~trials:0 (fun _ ->
+         true))
 
 (* --- cross_validate / sweep identity through the wiring --- *)
 
@@ -360,12 +412,26 @@ let test_domains_interplay () =
   Qdp_par.set_jobs 4;
   Qdp_par.parallel_for 0 64 (fun _ -> ());
   Alcotest.(check bool) "pool is up" true (Qdp_par.pool_started ());
+  let inner i =
+    Dist.monte_carlo_hits ~label:"t/inner" ~st:(Random.State.make [| i |])
+      ~trials:200 mc_trial
+  in
+  let inner_expected = Array.init 4 inner in
   with_dist ~workers:3 (fun () ->
       let got = Dist.map_shards ~label:"t/pool" ~n shard_value in
       Alcotest.(check bool) "pool-started fallback identical" true
         (got = expected);
       let r = report () in
-      Alcotest.(check bool) "fallback recorded" true r.Dist.rp_fallback)
+      Alcotest.(check bool) "fallback recorded" true r.Dist.rp_fallback;
+      (* shards running nested grids: one fallback, the outer region's *)
+      let got, fallbacks =
+        counting_fallbacks (fun () -> Dist.map_shards ~label:"t/pool" ~n:4 inner)
+      in
+      Alcotest.(check bool) "nested fallback identical" true
+        (got = inner_expected);
+      Alcotest.(check int) "one fallback for the outer region" 1 fallbacks;
+      Alcotest.(check string) "report names the outer region" "t/pool"
+        (report ()).Dist.rp_label)
 
 let () =
   Alcotest.run "dist"

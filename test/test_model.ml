@@ -1,8 +1,8 @@
 (* Tests for the Qdp_model calibrated cost model: least-squares fit
    recovery on synthetic data, clamping, crossover math, the
    decide precedence chain (forced > installed > call-site default),
-   overflow-safe MAC estimates, the Calib/JSON round-trip, and the
-   central dispatch contract — whatever the model decides, results
+   overflow-safe MAC estimates, the fixed JSON shape, and the central
+   dispatch contract — whatever the model decides, results
    are byte-identical to the forced-sequential path at every job and
    worker count.
 
@@ -12,7 +12,6 @@
    the final jobs-matrix test. *)
 
 module Model = Qdp_model
-module Calib = Qdp_obs.Calib
 module Registry = Qdp_core.Registry
 open Qdp_linalg
 
@@ -144,45 +143,6 @@ let test_decide_precedence () =
   checkb "cleared: default again" true
     (Model.decide ~kernel:"k" ~macs:1. ~default:true)
 
-(* --- Calib round-trip --- *)
-
-let test_of_calib_and_load_file () =
-  Calib.reset ();
-  Calib.set_enabled true;
-  let path = Filename.temp_file "qdp_calib" ".json" in
-  Fun.protect
-    ~finally:(fun () ->
-      Calib.set_enabled false;
-      Calib.reset ();
-      Sys.remove path)
-    (fun () ->
-      List.iter
-        (fun x ->
-          Calib.sample ~kernel:"rt" ~macs:x ~path:"seq" (fun () ->
-              ignore (Sys.opaque_identity (sin x)));
-          Calib.sample ~kernel:"rt" ~macs:x ~path:"par" (fun () ->
-              ignore (Sys.opaque_identity (cos x))))
-        xs;
-      let direct = Model.of_calib ~jobs:3 (Calib.kernels ()) in
-      Calib.write_json path;
-      match Model.load_file path with
-      | Error msg -> Alcotest.failf "load_file: %s" msg
-      | Ok loaded ->
-          let k = the_kernel loaded "rt" in
-          let kd = the_kernel direct "rt" in
-          let n = function Some f -> f.Model.f_n | None -> 0 in
-          Alcotest.(check int) "seq samples survive the round-trip"
-            (n kd.Model.k_seq) (n k.Model.k_seq);
-          Alcotest.(check int) "par path tag survives the round-trip"
-            (n kd.Model.k_par) (n k.Model.k_par);
-          checkb "both paths populated" true
-            (n k.Model.k_seq = List.length xs
-            && n k.Model.k_par = List.length xs));
-  Alcotest.(check bool) "missing file is a clean error" true
-    (match Model.load_file "/nonexistent/BENCH_model.json" with
-    | Error _ -> true
-    | Ok _ -> false)
-
 let test_model_json_shape () =
   let m = fixture_model () in
   let j = Qdp_obs.Json.parse (Model.to_json m) in
@@ -212,12 +172,7 @@ let test_model_json_shape () =
    byte-identical digests. *)
 
 let always_par_model () =
-  let kernels =
-    [
-      "mat.mul"; "mat.tensor"; "batch.gram"; "batch.apply_into";
-      "grid.monte_carlo"; "grid.attack"; "grid.sweep";
-    ]
-  in
+  let kernels = [ "mat.mul"; "mat.tensor"; "batch.gram"; "batch.apply_into" ] in
   Model.of_observations ~jobs:4
     (List.concat_map
        (fun k ->
@@ -226,12 +181,7 @@ let always_par_model () =
        kernels)
 
 let never_par_model () =
-  let kernels =
-    [
-      "mat.mul"; "mat.tensor"; "batch.gram"; "batch.apply_into";
-      "grid.monte_carlo"; "grid.attack"; "grid.sweep";
-    ]
-  in
+  let kernels = [ "mat.mul"; "mat.tensor"; "batch.gram"; "batch.apply_into" ] in
   Model.of_observations ~jobs:4
     (List.concat_map
        (fun k -> line_obs ~kernel:k ~path:"seq" ~a:0. ~b:1e-9 ~alloc:0. xs)
@@ -395,8 +345,6 @@ let () =
       );
       ( "serialization",
         [
-          Alcotest.test_case "calib round-trip" `Quick
-            test_of_calib_and_load_file;
           Alcotest.test_case "fixed JSON shape" `Quick test_model_json_shape;
         ] );
       ( "dispatch",

@@ -46,24 +46,6 @@ let test_map () =
         "empty array" [||]
         (Par.parallel_map_array (fun x -> x) [||]))
 
-let test_reduce () =
-  with_jobs 4 (fun () ->
-      let total =
-        Par.parallel_reduce ~neutral:0 ~combine:( + ) 0 1001 (fun i -> i)
-      in
-      Alcotest.(check int) "sum 0..1000" 500500 total;
-      let best =
-        Par.parallel_reduce ~neutral:neg_infinity ~combine:Float.max 0 100
-          (fun i -> float_of_int ((i * 37) mod 89))
-      in
-      let expect = ref neg_infinity in
-      for i = 0 to 99 do
-        expect := Float.max !expect (float_of_int ((i * 37) mod 89))
-      done;
-      Alcotest.(check (float 0.)) "max reduce" !expect best;
-      Alcotest.(check int) "empty range is neutral" 42
-        (Par.parallel_reduce ~neutral:42 ~combine:( + ) 5 5 (fun _ -> 1)))
-
 exception Boom of int
 
 let test_exception_propagates () =
@@ -108,11 +90,13 @@ let test_set_jobs_invalid () =
 
 (* --- deterministic Monte-Carlo --- *)
 
+(* The grid front door over the pool: [Qdp_dist.monte_carlo_hits]
+   runs its chunks in-process here (no worker processes). *)
 let mc_hits ~jobs ~seed ~trials =
   with_jobs jobs (fun () ->
       let st = Random.State.make [| seed |] in
       let hits =
-        Par.monte_carlo_hits ~st ~trials (fun s -> Random.State.bool s)
+        Qdp_dist.monte_carlo_hits ~st ~trials (fun s -> Random.State.bool s)
       in
       (* the caller's state must also advance identically *)
       (hits, Random.State.int st 1_000_000))
@@ -125,10 +109,7 @@ let test_mc_jobs_invariant () =
       Alcotest.(check (pair int int))
         (Printf.sprintf "seed %d trials %d: jobs 1 = jobs 4" seed trials)
         h1 h4)
-    [ (1, 1); (2, 63); (3, 64); (4, 65); (5, 1000); (6, 2048) ];
-  Alcotest.(check int) "trials <= 0 gives 0 hits" 0
-    (Par.monte_carlo_hits ~st:(Random.State.make [| 9 |]) ~trials:0 (fun _ ->
-         true))
+    [ (1, 1); (2, 63); (3, 64); (4, 65); (5, 1000); (6, 2048) ]
 
 let qcheck_estimate_acceptance =
   QCheck.Test.make ~count:20
@@ -227,7 +208,6 @@ let () =
     [ ( "pool",
         [ Alcotest.test_case "parallel_for coverage" `Quick test_for_covers;
           Alcotest.test_case "parallel_map_array" `Quick test_map;
-          Alcotest.test_case "parallel_reduce" `Quick test_reduce;
           Alcotest.test_case "exceptions propagate" `Quick
             test_exception_propagates;
           Alcotest.test_case "nested regions" `Quick test_nested;
