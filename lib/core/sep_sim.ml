@@ -171,20 +171,16 @@ let effective_operator d pi e b = Mat.tensor (pi_contract d pi e) b
    two passes (Mat.quad_minor / Mat.quad_major). *)
 let best_product_pair st ~d g =
   let a = ref (States.random_unit st d) and b = ref (States.random_unit st d) in
-  let top g_eff =
-    let evals, evecs = Eig.hermitian g_eff in
-    (evals.(d - 1), Vec.init d (fun i -> Mat.get evecs i (d - 1)))
-  in
   let value = ref 0. in
   for _ = 1 to 8 do
     (* effective operator on a with b fixed *)
     let ga = Mat.quad_minor g !b in
     let ga = Mat.scale (Cx.re 0.5) (Mat.add ga (Mat.adjoint ga)) in
-    let _, va = top ga in
+    let _, va = Eig.top_hermitian ga in
     a := va;
     let gb = Mat.quad_major g !a in
     let gb = Mat.scale (Cx.re 0.5) (Mat.add gb (Mat.adjoint gb)) in
-    let lb, vb = top gb in
+    let lb, vb = Eig.top_hermitian gb in
     b := vb;
     value := lb
   done;
@@ -220,12 +216,7 @@ let optimize_generic update_node st ~d ~r ~left ~final ~sweeps =
   (final_inst, accept final_inst)
 
 let optimize st ~d ~r ~left ~final ~sweeps =
-  let update g =
-    let evals, evecs = Eig.hermitian g in
-    ignore evals;
-    let top = (d * d) - 1 in
-    Mat.of_vec (Vec.init (d * d) (fun i -> Mat.get evecs i top))
-  in
+  let update g = Mat.of_vec (snd (Eig.top_hermitian g)) in
   optimize_generic update st ~d ~r ~left ~final ~sweeps
 
 let optimize_product st ~d ~r ~left ~final ~sweeps =

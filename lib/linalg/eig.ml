@@ -78,6 +78,7 @@ let symmetric a0 =
    recover an orthonormal complex basis by greedy Gram-Schmidt over the
    embedded eigenvectors in spectral order. *)
 let hermitian m =
+  Qdp_obs.Prof.section "eig.hermitian" @@ fun () ->
   Qdp_obs.Metrics.time hermitian_seconds @@ fun () ->
   let n = Mat.rows m in
   if n <> Mat.cols m then invalid_arg "Eig.hermitian: not square";
@@ -118,6 +119,92 @@ let hermitian m =
   (evals, v)
 
 let eigenvalues_hermitian m = fst (hermitian m)
+
+(* Top eigenpair by Lanczos with full reorthogonalisation.  The Krylov
+   basis [q] grows by one matrix-vector product per step; the small
+   tridiagonal [T_k] is solved with [symmetric] at k = 1, 2, 4, 8, ...
+   (and at k = n or on breakdown), so the tridiagonal solves together
+   cost at most twice the last one.  A checkpoint converges when the
+   Ritz residual |beta_k s_k| is below [ritz_tol]; the Ritz vector must
+   then also pass the true residual check, or [top_hermitian] falls
+   back to the full Jacobi diagonalisation. *)
+
+let top_seconds = Qdp_obs.Metrics.histogram "kernel.eig_top.seconds"
+let top_fallbacks = Qdp_obs.Metrics.counter "kernel.eig_top.fallbacks"
+let ritz_tol = 1e-12
+let residual_tol = 1e-10
+
+(* Generic complex entries from a private generator: a structured start
+   (all-ones, say) can be orthogonal to the top eigenvector of an
+   exchange-symmetric matrix, and drawing from a shared generator would
+   shift the caller's later draws. *)
+let start_vector n =
+  let st = Random.State.make [| 0x1a2c05 |] in
+  let coord () = Random.State.float st 2. -. 1. in
+  Vec.normalize (Vec.init n (fun _ -> Cx.make (coord ()) (coord ())))
+
+let tridiagonal alpha beta k =
+  Array.init k (fun a ->
+      Array.init k (fun b ->
+          if a = b then alpha.(a)
+          else if b = a + 1 then beta.(a)
+          else if a = b + 1 then beta.(b)
+          else 0.))
+
+let lanczos_top m n =
+  let q = Array.make n (Vec.create 0) in
+  let alpha = Array.make n 0. and beta = Array.make n 0. in
+  let w = Vec.create n in
+  q.(0) <- start_vector n;
+  let rec step j =
+    Mat.apply_into m q.(j) ~dst:w;
+    alpha.(j) <- (Vec.dot q.(j) w).Complex.re;
+    Vec.axpy ~alpha:(Cx.re (-.alpha.(j))) q.(j) w;
+    if j > 0 then Vec.axpy ~alpha:(Cx.re (-.beta.(j - 1))) q.(j - 1) w;
+    (* two Gram-Schmidt passes against the whole basis *)
+    for _ = 1 to 2 do
+      for i = 0 to j do
+        Vec.axpy ~alpha:(Cx.neg (Vec.dot q.(i) w)) q.(i) w
+      done
+    done;
+    beta.(j) <- Vec.norm w;
+    let k = j + 1 in
+    let breakdown = beta.(j) <= ritz_tol in
+    let last = breakdown || k = n in
+    if not (last || k land (k - 1) = 0) then next j
+    else begin
+      let evals, evecs = symmetric (tridiagonal alpha beta k) in
+      let theta = evals.(k - 1) and s = evecs.(k - 1) in
+      let scale = Float.max 1. (Float.abs theta) in
+      if Float.abs (beta.(j) *. s.(k - 1)) <= ritz_tol *. scale then begin
+        let v = Vec.create n in
+        Array.iteri (fun i si -> Vec.axpy ~alpha:(Cx.re si) q.(i) v) s;
+        let v = Vec.normalize v in
+        let r = Mat.apply m v in
+        Vec.axpy ~alpha:(Cx.re (-.theta)) v r;
+        if Vec.norm r <= residual_tol *. scale then Some (theta, v) else None
+      end
+      else if last then None
+      else next j
+    end
+  and next j =
+    q.(j + 1) <- Vec.scale (Cx.re (1. /. beta.(j))) w;
+    step (j + 1)
+  in
+  step 0
+
+let top_hermitian m =
+  Qdp_obs.Prof.section "eig.top" @@ fun () ->
+  Qdp_obs.Metrics.time top_seconds @@ fun () ->
+  let n = Mat.rows m in
+  if n <> Mat.cols m then invalid_arg "Eig.top_hermitian: not square";
+  if n = 0 then invalid_arg "Eig.top_hermitian: empty matrix";
+  match lanczos_top m n with
+  | Some pair -> pair
+  | None ->
+      Qdp_obs.Metrics.incr top_fallbacks;
+      let evals, v = hermitian m in
+      (evals.(n - 1), Vec.init n (fun i -> Mat.get v i (n - 1)))
 
 let func_hermitian f m =
   let evals, v = hermitian m in

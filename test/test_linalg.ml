@@ -172,6 +172,131 @@ let test_sqrt_psd () =
   Alcotest.(check bool) "sqrt^2 = psd" true (Mat.equal ~eps:1e-6 (Mat.mul s s) psd);
   Alcotest.(check bool) "sqrt hermitian" true (Mat.is_hermitian ~eps:1e-7 s)
 
+(* --- Eig.top_hermitian --- *)
+
+(* U diag(spectrum) U^dagger for a random unitary U. *)
+let with_spectrum st spectrum =
+  let n = Array.length spectrum in
+  let u = snd (Eig.hermitian (random_hermitian st n)) in
+  let d =
+    Mat.init n n (fun i j -> if i = j then Cx.re spectrum.(i) else Cx.zero)
+  in
+  let m = Mat.mul (Mat.mul u d) (Mat.adjoint u) in
+  Mat.scale (Cx.re 0.5) (Mat.add m (Mat.adjoint m))
+
+(* A A^dagger / n for a random n x rank matrix A. *)
+let random_psd st ~rank n =
+  let a = Mat.init n rank (fun _ _ -> Cx.make (gaussian st) (gaussian st)) in
+  let m =
+    Mat.scale (Cx.re (1. /. float_of_int n)) (Mat.mul a (Mat.adjoint a))
+  in
+  Mat.scale (Cx.re 0.5) (Mat.add m (Mat.adjoint m))
+
+let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+let eig_top_fallbacks () =
+  let snap = Qdp_obs.Metrics.snapshot () in
+  match Qdp_obs.Metrics.find snap "kernel.eig_top.fallbacks" with
+  | Some (Qdp_obs.Metrics.Counter_v v) -> v
+  | _ -> 0
+
+(* Checks [Eig.top_hermitian m] against the Jacobi spectrum: the
+   eigenvalue, the true residual, a unit eigenvector, the same bits
+   whatever the global [Random] state, and no Jacobi fallback.  [None]
+   when every contract holds, else what broke. *)
+let top_contract_failure m =
+  Qdp_obs.with_enabled true @@ fun () ->
+  let n = Mat.rows m in
+  let jacobi = (fst (Eig.hermitian m)).(n - 1) in
+  let fallbacks = eig_top_fallbacks () in
+  Random.init 1;
+  let lambda, v = Eig.top_hermitian m in
+  Random.init 2;
+  let lambda', v' = Eig.top_hermitian m in
+  let scale = Float.max 1. (Float.abs lambda) in
+  let residual =
+    let r = Mat.apply m v in
+    Vec.axpy ~alpha:(Cx.re (-.lambda)) v r;
+    Vec.norm r
+  in
+  let same_vec a b =
+    Array.for_all2 same_bits (Vec.raw_re a) (Vec.raw_re b)
+    && Array.for_all2 same_bits (Vec.raw_im a) (Vec.raw_im b)
+  in
+  if Float.abs (lambda -. jacobi) > 1e-10 *. scale then
+    Some (Printf.sprintf "n=%d: lambda %.17g, jacobi %.17g" n lambda jacobi)
+  else if residual > 1e-9 *. scale then
+    Some (Printf.sprintf "n=%d: residual %g" n residual)
+  else if Float.abs (Vec.norm v -. 1.) > 1e-12 then
+    Some (Printf.sprintf "n=%d: |v| = %.17g" n (Vec.norm v))
+  else if not (same_bits lambda lambda' && same_vec v v') then
+    Some (Printf.sprintf "n=%d: depends on the global Random state" n)
+  else if eig_top_fallbacks () <> fallbacks then
+    Some (Printf.sprintf "n=%d: fell back to Jacobi" n)
+  else None
+
+let check_top_contract m =
+  match top_contract_failure m with
+  | None -> ()
+  | Some what -> Alcotest.fail what
+
+let test_top_degenerate () =
+  let st = Random.State.make [| 31 |] in
+  check_top_contract
+    (with_spectrum st
+       (Array.init 16 (fun i ->
+            if i < 3 then 2. else 1.5 *. Random.State.float st 1.)))
+
+let test_top_small_gap () =
+  let st = Random.State.make [| 32 |] in
+  check_top_contract
+    (with_spectrum st
+       (Array.init 32 (fun i ->
+            match i with
+            | 0 -> 1.
+            | 1 -> 1. -. 1e-6
+            | _ -> 0.9 *. Random.State.float st 1.)))
+
+let test_top_rank_one () =
+  let st = Random.State.make [| 33 |] in
+  let u = random_vec st 20 in
+  check_top_contract (Mat.of_vec u);
+  check_float ~eps:1e-10 "lambda = |u|^2" (Vec.norm u ** 2.)
+    (fst (Eig.top_hermitian (Mat.of_vec u)))
+
+let test_top_zero () =
+  let z = Mat.create 9 9 in
+  check_top_contract z;
+  check_float ~eps:0. "lambda = 0" 0. (fst (Eig.top_hermitian z))
+
+(* An exchange-symmetric matrix whose top eigenvector is the
+   alternating vector: orthogonal to all-ones, so an all-ones start
+   would converge to the lower all-ones eigenpair. *)
+let test_top_orthogonal_to_ones () =
+  let n = 12 in
+  let alt =
+    Vec.normalize
+      (Vec.init n (fun i -> Cx.re (if i mod 2 = 0 then 1. else -1.)))
+  in
+  let ones = Vec.normalize (Vec.init n (fun _ -> Cx.one)) in
+  let m =
+    Mat.add
+      (Mat.add (Mat.scale (Cx.re 2.) (Mat.of_vec alt)) (Mat.of_vec ones))
+      (Mat.scale (Cx.re 0.1) (Mat.identity n))
+  in
+  check_top_contract m;
+  let lambda, v = Eig.top_hermitian m in
+  check_float ~eps:1e-10 "lambda = 2.1" 2.1 lambda;
+  check_float ~eps:1e-10 "|<alt|v>| = 1" 1. (Cx.abs (Vec.dot alt v))
+
+let test_top_keeps_global_random () =
+  let m = random_psd (Random.State.make [| 34 |]) ~rank:5 10 in
+  Random.init 7;
+  let expected = Random.bits () in
+  Random.init 7;
+  ignore (Eig.top_hermitian m);
+  Alcotest.(check int) "global Random not advanced" expected (Random.bits ())
+
 (* --- Subspace --- *)
 
 let test_subspace_projection_idempotent () =
@@ -245,9 +370,24 @@ let prop_trace_tensor =
       let rhs = Cx.mul (Mat.trace a) (Mat.trace b) in
       Cx.is_close ~eps:1e-8 lhs rhs)
 
+let prop_top_hermitian =
+  QCheck.Test.make ~name:"top_hermitian agrees with Jacobi on PSD" ~count:60
+    QCheck.(pair (int_range 1 48) small_nat)
+    (fun (n, seed) ->
+      let st = Random.State.make [| n; seed; 79 |] in
+      let m = random_psd st ~rank:(1 + (seed mod n)) n in
+      match top_contract_failure m with
+      | None -> true
+      | Some what -> QCheck.Test.fail_report what)
+
 let qcheck_cases =
   List.map QCheck_alcotest.to_alcotest
-    [ prop_norm_scale; prop_cauchy_schwarz; prop_trace_tensor ]
+    [
+      prop_norm_scale;
+      prop_cauchy_schwarz;
+      prop_trace_tensor;
+      prop_top_hermitian;
+    ]
 
 let () =
   Alcotest.run "linalg"
@@ -282,6 +422,15 @@ let () =
             test_eig_hermitian_reconstruct;
           Alcotest.test_case "trace matches" `Quick test_eig_trace_matches;
           Alcotest.test_case "sqrt psd" `Quick test_sqrt_psd;
+          Alcotest.test_case "top: degenerate top eigenvalue" `Quick
+            test_top_degenerate;
+          Alcotest.test_case "top: 1e-6 spectral gap" `Quick test_top_small_gap;
+          Alcotest.test_case "top: rank one" `Quick test_top_rank_one;
+          Alcotest.test_case "top: zero matrix" `Quick test_top_zero;
+          Alcotest.test_case "top: orthogonal to all-ones" `Quick
+            test_top_orthogonal_to_ones;
+          Alcotest.test_case "top: global Random untouched" `Quick
+            test_top_keeps_global_random;
         ] );
       ( "subspace",
         [

@@ -1,6 +1,6 @@
 (* Tests for the always-on verification service (lib/serve): the LRU
    cache, the request codec and canonical key, deterministic
-   evaluation, and — via forked daemon processes — the wire protocol,
+   evaluation, and — via spawned daemon processes — the wire protocol,
    session isolation, admission control, graceful drain and the
    end-to-end determinism digest. *)
 
@@ -14,7 +14,8 @@ module Registry = Qdp_core.Registry
 module Frame = Qdp_dist.Frame
 
 (* Populate the protocol registry (the CLI does this in its own
-   startup; the daemon children forked below inherit it). *)
+   startup; the daemon processes spawned below run this binary, so they
+   populate it the same way). *)
 let () = Qdp_core.Protocols.init ()
 
 let check = Alcotest.check
@@ -176,7 +177,7 @@ let test_eval_run_string_garbage () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "expected a parse error"
 
-(* --- forked daemon harness --- *)
+(* --- spawned daemon harness --- *)
 
 let socket_counter = ref 0
 
@@ -185,43 +186,71 @@ let fresh_socket () =
   Printf.sprintf "/tmp/qdp-test-serve-%d-%d.sock" (Unix.getpid ())
     !socket_counter
 
-(* Forks a daemon child running [Server.run ~config] and hands the
-   parent a connect-ready config; SIGTERMs and reaps the child on the
-   way out.  Must run before any domain is spawned in this process
-   (the serve tests therefore do not enable the worker pool). *)
+(* Daemons run in a fresh process: this test binary re-executed with
+   [daemon_flag] and the [Server.config] fields on argv.  Forking is
+   not an option, because OCaml 5 forbids [Unix.fork] once a domain
+   exists and the eval cases above may already have started the
+   [Qdp_par] pool. *)
+let daemon_flag = "--serve-daemon"
+
+let daemon_argv (c : Server.config) =
+  Array.of_list
+    (Sys.executable_name :: daemon_flag :: c.Server.socket_path
+    :: List.map string_of_int
+         [ c.queue_limit; c.cache_capacity; c.batch_max; c.max_sessions ])
+
+let () =
+  match Sys.argv with
+  | [| _; flag; socket_path; queue_limit; cache_capacity; batch_max;
+       max_sessions |]
+    when flag = daemon_flag ->
+      let config =
+        {
+          Server.socket_path;
+          queue_limit = int_of_string queue_limit;
+          cache_capacity = int_of_string cache_capacity;
+          batch_max = int_of_string batch_max;
+          max_sessions = int_of_string max_sessions;
+        }
+      in
+      Server.run ~config ();
+      exit 0
+  | _ -> ()
+
+(* Spawns a daemon running [Server.run ~config] and hands the caller a
+   connect-ready config; SIGTERMs and reaps the daemon on the way out. *)
 let with_server ?(config = Server.default_config) f =
   let config = { config with Server.socket_path = fresh_socket () } in
-  match Unix.fork () with
-  | 0 ->
-      (try Server.run ~config () with _ -> ());
-      Unix._exit 0
-  | pid ->
-      let term_sent = ref false in
-      let stop () =
-        if not !term_sent then begin
-          term_sent := true;
-          (try Unix.kill pid Sys.sigterm with Unix.Unix_error _ -> ())
-        end
-      in
-      Fun.protect
-        ~finally:(fun () ->
-          stop ();
-          (try ignore (Unix.waitpid [] pid) with Unix.Unix_error _ -> ());
-          try Unix.unlink config.Server.socket_path
-          with Unix.Unix_error _ -> ())
-      @@ fun () ->
-      (* Wait for the daemon to bind. *)
-      let rec connect tries =
-        match Client.connect config.Server.socket_path with
-        | c -> c
-        | exception Unix.Unix_error ((Unix.ENOENT | Unix.ECONNREFUSED), _, _)
-          when tries < 250 ->
-            Unix.sleepf 0.02;
-            connect (tries + 1)
-      in
-      let first = connect 0 in
-      Fun.protect ~finally:(fun () -> Client.close first) @@ fun () ->
-      f ~config ~first ~stop ~pid
+  let pid =
+    Unix.create_process_env Sys.executable_name (daemon_argv config)
+      (Unix.environment ()) Unix.stdin Unix.stdout Unix.stderr
+  in
+  let term_sent = ref false in
+  let stop () =
+    if not !term_sent then begin
+      term_sent := true;
+      (try Unix.kill pid Sys.sigterm with Unix.Unix_error _ -> ())
+    end
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      stop ();
+      (try ignore (Unix.waitpid [] pid) with Unix.Unix_error _ -> ());
+      try Unix.unlink config.Server.socket_path
+      with Unix.Unix_error _ -> ())
+  @@ fun () ->
+  (* Wait for the daemon to bind. *)
+  let rec connect tries =
+    match Client.connect config.Server.socket_path with
+    | c -> c
+    | exception Unix.Unix_error ((Unix.ENOENT | Unix.ECONNREFUSED), _, _)
+      when tries < 250 ->
+        Unix.sleepf 0.02;
+        connect (tries + 1)
+  in
+  let first = connect 0 in
+  Fun.protect ~finally:(fun () -> Client.close first) @@ fun () ->
+  f ~config ~first ~stop ~pid
 
 let plain_request ?spec () = Request.make ?spec (some_protocol ())
 
