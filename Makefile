@@ -1,4 +1,4 @@
-.PHONY: all build test check tables bench perf profile perf-diff model faults turns dist chaos serve load fmt clean
+.PHONY: all build test check tables bench perf profile perf-diff faults turns dist chaos serve load fmt clean
 
 all: build
 
@@ -34,13 +34,6 @@ profile:
 # Exits 1 on any regression over the threshold.
 perf-diff:
 	dune exec bin/qdp.exe -- perf diff $(OLD) $(NEW)
-
-# Self-benchmark the dense kernels, fit the per-kernel seq/par cost
-# model and write BENCH_model.json.  The fits drive dispatch when
-# installed at startup (--model auto / QDP_MODEL); outputs are
-# byte-identical either way.
-model:
-	dune exec bin/qdp.exe -- model --out BENCH_model.json
 
 # Graceful-degradation sweep: writes BENCH_faults.json, exits non-zero
 # on any soundness or monotonicity violation.

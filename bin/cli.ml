@@ -89,19 +89,19 @@ let chaos_arg =
         ~doc:
           "Chaos injection probability (default: $(b,QDP_CHAOS) or 0).  \
            Each worker shard attempt crashes, hangs or corrupts its reply \
-           with probability $(docv), at points seeded by \
-           $(b,QDP_CHAOS_SEED) — results must stay byte-identical.")
+           with probability $(docv), at seeded points — results must stay \
+           byte-identical.")
 
 let model_arg =
   Arg.(
     value
-    & opt (enum [ ("off", `Off); ("auto", `Auto) ]) `Off
-    & info [ "model" ] ~docv:"MODE" ~env:(Cmd.Env.info "QDP_MODEL")
+    & opt (enum [ ("off", ()) ]) ()
+    & info [ "model" ] ~docv:"MODE"
         ~doc:
-          "Dense-kernel cost model driving seq/par dispatch: $(b,off) = \
-           static MAC cutoffs; $(b,auto) = run the startup self-benchmark \
-           and install its fits.  The model only picks which bit-identical \
-           path runs, so results never depend on it.")
+          "Accepted for compatibility; $(b,off) is the only value.  Dense \
+           kernels dispatch by the static MAC cutoff alone.  Kept because \
+           the end-to-end benchmark starts $(b,qdp serve) with \
+           $(b,--model off).")
 
 let progress_json_arg =
   Arg.(
@@ -122,12 +122,11 @@ type obs_opts = {
   calib : string option;
   progress : float option;
   progress_json : bool;
-  model : [ `Off | `Auto ];
 }
 
 let obs_term =
   let mk jobs workers timeout chaos metrics trace profile calib progress
-      progress_json model =
+      progress_json () =
     {
       jobs;
       workers;
@@ -139,7 +138,6 @@ let obs_term =
       calib;
       progress;
       progress_json;
-      model;
     }
   in
   Term.(
@@ -160,11 +158,6 @@ let with_obs ~tool ~cmd o f =
       Qdp_dist.set_shard_timeout t)
     o.timeout;
   Option.iter Qdp_dist.set_chaos o.chaos;
-  (* After the jobs budget is pinned: "auto" probes under the
-     effective pool it will dispatch for. *)
-  (match o.model with
-  | `Off -> ()
-  | `Auto -> ignore (Qdp_linalg.Tune.autotune ()));
   if o.metrics <> None || o.trace <> None then Qdp_obs.set_enabled true;
   if o.profile || o.calib <> None then begin
     Qdp_obs.Prof.set_enabled true;

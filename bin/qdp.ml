@@ -631,52 +631,6 @@ let perf_cmd =
     (Cmd.info "perf" ~doc:"Performance comparison and regression gating.")
     [ diff_cmd; shape_cmd ]
 
-(* qdp model — run the kernel self-benchmark, print the fitted cost
-   model and write the fixed-shape BENCH_model.json artifact. *)
-let model_cmd =
-  let out_arg =
-    Arg.(
-      value
-      & opt string "BENCH_model.json"
-      & info [ "out" ] ~docv:"FILE"
-          ~doc:"Where to write the fitted model (fixed-shape JSON).")
-  in
-  let run out obs =
-    with_obs ~cmd:"model" obs @@ fun () ->
-    let m = Qdp_linalg.Tune.autotune () in
-    Printf.printf "cost model (jobs = %d)\n" m.Qdp_model.m_jobs;
-    Printf.printf "%-18s %14s %14s %16s %s\n" "kernel" "seq ns/MAC"
-      "par ns/MAC" "crossover MACs" "samples";
-    List.iter
-      (fun k ->
-        let ns = function
-          | Some f -> Printf.sprintf "%.3f" (1e9 *. f.Qdp_model.f_b)
-          | None -> "-"
-        in
-        let samples = function Some f -> f.Qdp_model.f_n | None -> 0 in
-        let cross =
-          match Qdp_model.kernel_crossover k with
-          | Some c -> Printf.sprintf "%.3g" c
-          | None -> "never"
-        in
-        Printf.printf "%-18s %14s %14s %16s %d+%d\n" k.Qdp_model.k_name
-          (ns k.Qdp_model.k_seq) (ns k.Qdp_model.k_par) cross
-          (samples k.Qdp_model.k_seq)
-          (samples k.Qdp_model.k_par))
-      m.Qdp_model.m_kernels;
-    Qdp_model.write_json m out;
-    Printf.printf "wrote %s\n" out
-  in
-  Cmd.v
-    (Cmd.info "model"
-       ~doc:
-         "Self-benchmark the dense kernels, fit the per-kernel cost model \
-          (seconds ~ a + b*MACs per dispatch path), print the fitted \
-          crossovers and write BENCH_model.json.  The fits drive seq/par \
-          dispatch when installed via $(b,--model auto) / $(b,QDP_MODEL); \
-          outputs are byte-identical with or without them.")
-    Term.(const run $ out_arg $ Cli.obs_term)
-
 (* qdp serve — the always-on verification daemon. *)
 let serve_default = Qdp_serve.Server.default_config
 
@@ -850,7 +804,6 @@ let main =
         dist_cmd;
         turns_cmd;
         perf_cmd;
-        model_cmd;
         serve_cmd;
         load_cmd;
       ])

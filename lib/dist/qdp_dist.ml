@@ -62,31 +62,16 @@ let shard_timeout () =
 
 let set_shard_timeout t = shard_timeout_cfg := Some t
 
-let max_attempts_cfg : int option ref = ref None
-
-let max_attempts () =
-  match !max_attempts_cfg with
-  | Some n -> n
-  | None ->
-      let n = env_int "QDP_DIST_RETRIES" ~default:4 ~lo:1 in
-      max_attempts_cfg := Some n;
-      n
+let max_attempts_cfg = ref 4
+let max_attempts () = !max_attempts_cfg
 
 let set_max_attempts n =
   if n < 1 then invalid_arg "Qdp_dist.set_max_attempts: need n >= 1";
-  max_attempts_cfg := Some n
+  max_attempts_cfg := n
 
-let respawn_cfg : int option ref = ref None
-
-let respawn_budget () =
-  match !respawn_cfg with
-  | Some n -> n
-  | None ->
-      let n = env_int "QDP_DIST_RESPAWNS" ~default:(-1) ~lo:(-1) in
-      respawn_cfg := Some n;
-      n
-
-let set_respawn_budget n = respawn_cfg := Some (max (-1) n)
+let respawn_cfg = ref (-1)
+let respawn_budget () = !respawn_cfg
+let set_respawn_budget n = respawn_cfg := max (-1) n
 
 let chaos_cfg : float option ref = ref None
 
@@ -104,17 +89,9 @@ let set_chaos p =
     invalid_arg "Qdp_dist.set_chaos: need 0 <= p <= 1";
   chaos_cfg := Some p
 
-let chaos_seed_cfg : int option ref = ref None
-
-let chaos_seed () =
-  match !chaos_seed_cfg with
-  | Some s -> s
-  | None ->
-      let s = env_int "QDP_CHAOS_SEED" ~default:42 ~lo:min_int in
-      chaos_seed_cfg := Some s;
-      s
-
-let set_chaos_seed s = chaos_seed_cfg := Some s
+let chaos_seed_cfg = ref 42
+let chaos_seed () = !chaos_seed_cfg
+let set_chaos_seed s = chaos_seed_cfg := s
 
 (* -- observability -------------------------------------------------- *)
 
@@ -714,8 +691,9 @@ let map_shards ?(label = "shards") ~n f =
           Qdp_obs.Trace.with_span ("dist/" ^ label) (fun () ->
               match coordinator ~label ~n ~f (min w n) with
               | r -> r
-              | exception Failure _ when not (Qdp_par.pool_started ()) ->
-                  (* lost the fork-vs-domain race *)
+              | exception Failure _ when Qdp_par.pool_started () ->
+                  (* lost the fork-vs-domain race: another domain
+                     started the pool after the check above *)
                   fallback ~label ~n f))
   end
 

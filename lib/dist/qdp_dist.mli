@@ -67,8 +67,7 @@ val shard_timeout : unit -> float
 val set_shard_timeout : float -> unit
 
 (** Attempt budget per shard (including the first try) before the
-    shard degrades to in-process computation.  [QDP_DIST_RETRIES];
-    default [4]. *)
+    shard degrades to in-process computation.  Default [4]. *)
 val max_attempts : unit -> int
 
 (** @raise Invalid_argument on [n < 1]. *)
@@ -77,8 +76,7 @@ val set_max_attempts : int -> unit
 (** Worker-respawn budget per region: [-1] (default) = unbounded —
     safe, since total work is already bounded by
     [shards * max_attempts] — or a cap after which the region runs
-    with the surviving workers (possibly none: full degradation).
-    [QDP_DIST_RESPAWNS]. *)
+    with the surviving workers (possibly none: full degradation). *)
 val respawn_budget : unit -> int
 
 val set_respawn_budget : int -> unit
@@ -94,7 +92,7 @@ val chaos : unit -> float
 (** @raise Invalid_argument unless [0. <= p <= 1.]. *)
 val set_chaos : float -> unit
 
-(** Seed for the chaos schedule.  [QDP_CHAOS_SEED]; default [42]. *)
+(** Seed for the chaos schedule.  Default [42]. *)
 val chaos_seed : unit -> int
 
 val set_chaos_seed : int -> unit

@@ -129,11 +129,8 @@ let apply_into m ~src ~dst =
     invalid_arg "Batch.apply_into: shape mismatch";
   if src.count <> dst.count then
     invalid_arg "Batch.apply_into: column count mismatch";
-  let macs = Qdp_model.macs3 (Mat.rows m) (Mat.cols m) src.count in
-  let par =
-    Qdp_model.decide ~kernel:"batch.apply_into" ~macs
-      ~default:(Mat.par_profitable ~macs)
-  in
+  let macs = Mat.macs3 (Mat.rows m) (Mat.cols m) src.count in
+  let par = Mat.par_profitable ~macs in
   Qdp_obs.Prof.section "batch.apply_into" @@ fun () ->
   Qdp_obs.Calib.sample ~kernel:"batch.apply_into" ~macs ~path:(Mat.path_tag par)
   @@ fun () ->
@@ -183,11 +180,8 @@ let gram_tile = 32
 let gram a =
   let n = a.count and d = a.dim in
   (* computed upper triangle only: d MACs per (i, j <= i) cell *)
-  let macs = Qdp_model.macs2 d n *. float_of_int (n + 1) /. 2. in
-  let par =
-    Qdp_model.decide ~kernel:"batch.gram" ~macs
-      ~default:(Mat.par_profitable ~macs:(Qdp_model.macs3 d n n))
-  in
+  let macs = Mat.macs2 d n *. float_of_int (n + 1) /. 2. in
+  let par = Mat.par_profitable ~macs:(Mat.macs3 d n n) in
   Qdp_obs.Prof.section "batch.gram" @@ fun () ->
   Qdp_obs.Calib.sample ~kernel:"batch.gram" ~macs ~path:(Mat.path_tag par)
   @@ fun () ->

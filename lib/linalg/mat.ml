@@ -85,6 +85,12 @@ let scale z a =
   done;
   m
 
+(* Float MACs: products of up to four dimensions in native ints can
+   wrap negative for huge requests and silently defeat the cutoff. *)
+let macs2 a b = float_of_int a *. float_of_int b
+let macs3 a b c = macs2 a b *. float_of_int c
+let macs4 a b c d = macs3 a b c *. float_of_int d
+
 let par_mac_cutoff = 1 lsl 16
 
 let par_profitable ~macs =
@@ -96,8 +102,8 @@ let path_tag par = if par && Qdp_par.effective_jobs () > 1 then "par" else "seq"
 
 let mul a b =
   if a.cols <> b.rows then invalid_arg "Mat.mul: shape mismatch";
-  let macs = Qdp_model.macs3 a.rows a.cols b.cols in
-  let par = Qdp_model.decide ~kernel:"mat.mul" ~macs ~default:(par_profitable ~macs) in
+  let macs = macs3 a.rows a.cols b.cols in
+  let par = par_profitable ~macs in
   Qdp_obs.Calib.sample ~kernel:"mat.mul" ~macs ~path:(path_tag par) @@ fun () ->
   let m = create a.rows b.cols in
   let are = a.re and aim = a.im and bre = b.re and bim = b.im in
@@ -162,12 +168,8 @@ let trace m =
   { Complex.re = !sr; im = !si }
 
 let tensor a b =
-  (* Float MACs: four dimensions multiplied in native ints can wrap
-     negative for huge requests and silently defeat the guard. *)
-  let macs = Qdp_model.macs4 a.rows a.cols b.rows b.cols in
-  let par =
-    Qdp_model.decide ~kernel:"mat.tensor" ~macs ~default:(par_profitable ~macs)
-  in
+  let macs = macs4 a.rows a.cols b.rows b.cols in
+  let par = par_profitable ~macs in
   Qdp_obs.Calib.sample ~kernel:"mat.tensor" ~macs ~path:(path_tag par)
   @@ fun () ->
   let m = create (a.rows * b.rows) (a.cols * b.cols) in

@@ -41,24 +41,34 @@ val add : t -> t -> t
 val sub : t -> t -> t
 val scale : Cx.t -> t -> t
 
-(** Static parallelism threshold for the dense kernels, in scalar
-    multiply-accumulates: a kernel whose MAC count meets the cutoff
-    goes row-parallel on the [Qdp_par] pool, below it the pool's
-    scheduling overhead beats the arithmetic and it stays on the
-    calling domain.  This constant (2{^16}) is the deterministic
-    {e fallback}: when a {!Qdp_model} cost model is installed, each
-    dispatch site asks the model's fitted per-kernel crossover
-    instead.  Parallel slices own disjoint output rows and keep the
-    per-cell accumulation order, so the floats are bit-identical at
-    any job count either side of the cutoff. *)
+(** Every dense kernel ([mul], [tensor], [Batch.apply_into],
+    [Batch.gram]) decides sequential vs row-parallel by one static
+    rule, {!par_profitable}.  Parallel slices own disjoint output rows
+    and keep the per-cell accumulation order, so the floats are
+    bit-identical at any job count either side of the cutoff. *)
+
+(** Overflow-safe MAC estimates: dense-kernel MAC counts are products
+    of up to four dimensions, which can wrap native ints long before
+    they overflow floats ([macs4] of [2{^16}] on every axis is exactly
+    [2{^64}]). *)
+val macs2 : int -> int -> float
+
+val macs3 : int -> int -> int -> float
+val macs4 : int -> int -> int -> int -> float
+
+(** Parallelism threshold per effective worker, in scalar
+    multiply-accumulates (2{^16}): below it the pool's scheduling
+    overhead beats the arithmetic and the kernel stays on the calling
+    domain. *)
 val par_mac_cutoff : int
 
-(** [par_profitable ~macs] is the static fallback decision for a
-    dense kernel of [macs] (float, overflow-safe) multiply-accumulates:
-    true when every {e effective} worker ([Qdp_par.effective_jobs])
-    would get at least {!par_mac_cutoff} MACs of arithmetic.  A grid
-    too small to amortize fan-out over the actual pool stays
-    sequential — same floats either way. *)
+(** [par_profitable ~macs] is the dispatch decision for a dense kernel
+    of [macs] multiply-accumulates: true when every {e effective}
+    worker ([Qdp_par.effective_jobs]) would get at least
+    {!par_mac_cutoff} MACs of arithmetic, i.e.
+    [macs >= par_mac_cutoff * effective_jobs].  A grid too small to
+    amortize fan-out over the actual pool stays sequential — same
+    floats either way. *)
 val par_profitable : macs:float -> bool
 
 (** [path_tag par] is the {!Qdp_obs.Calib} path label for a dispatch

@@ -1,13 +1,12 @@
 (* Kernel calibration sampling: per-call (MAC-count, seconds,
    allocated-words, dispatch-path) observations for the dense kernels,
-   exported to BENCH_calib.json as the raw data behind the ROADMAP
-   item-5 cost model.  Shares the profiler switch discipline: its own
+   exported to BENCH_calib.json.  Shares the profiler switch discipline: its own
    atomic on/off flag, one branch per call while disabled.
 
    Per-kernel totals are unbounded; raw samples live in a fixed-size
    ring so a long run cannot grow memory without bound.  The ring
-   keeps the *last* [max_samples] observations — a tail window — so a
-   fitted model sees steady-state calls, not the cold-start prefix
+   keeps the *last* [max_samples] observations — a tail window — so
+   the samples show steady-state calls, not the cold-start prefix
    (JIT-warm caches, first-touch page faults, lazy pool spawn all land
    in the first calls). *)
 

@@ -1,14 +1,13 @@
-(** Kernel calibration sampling for the cost model.
+(** Kernel calibration sampling for the dense kernels.
 
     {!sample} wraps one kernel invocation and records its nominal MAC
     count together with measured wall seconds, GC-allocation words
     (minor/major, calling domain only) and the dispatch path that ran
     (["seq"] or ["par"]).  Per-kernel totals and a tail window of the
     {e most recent} {!max_samples} raw samples are exported by
-    {!to_json}/{!write_json} as [BENCH_calib.json], the input data for
-    the {!Qdp_model} kernel cost model — a tail window rather than a
-    head capture, so fits see steady-state calls instead of the
-    cold-start prefix.
+    {!to_json}/{!write_json} as [BENCH_calib.json] — a tail window
+    rather than a head capture, so the samples show steady-state calls
+    instead of the cold-start prefix.
 
     Own switch, same zero-cost discipline as {!Prof}: one atomic-load
     branch per call while disabled. *)
@@ -42,7 +41,7 @@ val set_enabled : bool -> unit
     observation for [kernel].  [macs] is the nominal
     multiply-accumulate count of the call (complex MACs for the dense
     kernels); [path] (default ["seq"]) tags which dispatch path
-    executed, so the cost model can fit the two paths separately.
+    executed, so the two paths can be priced separately.
     Exception-safe; when the switch is off this is exactly [f ()]. *)
 val sample : kernel:string -> macs:float -> ?path:string -> (unit -> 'a) -> 'a
 

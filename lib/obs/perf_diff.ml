@@ -2,7 +2,7 @@
    the four JSON shapes the repo exports — BENCH_perf.json (groups +
    kernels), BENCH_calib.json (per-kernel calibration),
    BENCH_obs.json (metrics snapshot with *.seconds histograms) and
-   BENCH_model.json (fitted per-kernel cost model) — and
+   BENCH_model.json (the removed kernel cost model's fits) — and
    reduces each to a flat list of (key, group, value, seconds)
    metrics.  The comparator then applies a per-group relative
    threshold and a min-runtime floor: measurements too small to time

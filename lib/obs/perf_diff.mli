@@ -9,7 +9,8 @@
     - [BENCH_obs.json] — the mean of every [*.seconds] histogram in
       the metrics snapshot;
     - [BENCH_model.json] — the fitted marginal cost of each kernel's
-      seq/par path as [ns_per_mac].
+      seq/par path as [ns_per_mac] (artifacts of the removed kernel
+      cost model; still readable so old runs can be compared).
 
     A metric pair is {e below the floor} (never flagged) when both
     sides measured less than [min_seconds] of runtime; otherwise it is

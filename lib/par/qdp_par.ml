@@ -42,27 +42,13 @@ let set_jobs n =
    the hardware so oversubscribed configurations degrade to the
    sequential path — byte-identical outputs, none of the domain
    machinery.  Tests that exercise pool semantics on small hosts opt
-   back in via [set_oversubscribe] / QDP_OVERSUBSCRIBE=1. *)
+   back in via [set_oversubscribe]. *)
 
 let cores = lazy (Domain.recommended_domain_count ())
 
-(* 0 = unresolved, 1 = clamp (default), 2 = oversubscribe allowed. *)
-let oversub = Atomic.make 0
-
-let oversubscribe () =
-  match Atomic.get oversub with
-  | 1 -> false
-  | 2 -> true
-  | _ ->
-      let v =
-        match Sys.getenv_opt "QDP_OVERSUBSCRIBE" with
-        | Some ("1" | "true" | "yes") -> 2
-        | Some _ | None -> 1
-      in
-      ignore (Atomic.compare_and_set oversub 0 v);
-      Atomic.get oversub = 2
-
-let set_oversubscribe b = Atomic.set oversub (if b then 2 else 1)
+let oversub = Atomic.make false
+let oversubscribe () = Atomic.get oversub
+let set_oversubscribe b = Atomic.set oversub b
 
 let effective_jobs () =
   let j = jobs () in

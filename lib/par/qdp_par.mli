@@ -47,9 +47,7 @@ val set_jobs : int -> unit
 val effective_jobs : unit -> int
 
 (** [oversubscribe ()] reports whether the clamp in
-    {!effective_jobs} is disabled.  Resolved on first use from the
-    [QDP_OVERSUBSCRIBE] environment variable ([1]/[true]/[yes]);
-    default [false]. *)
+    {!effective_jobs} is disabled; default [false]. *)
 val oversubscribe : unit -> bool
 
 (** [set_oversubscribe true] lets [effective_jobs] exceed the core

@@ -3,8 +3,9 @@
    Pure kernels against their scalar counterparts, the fused
    symmetric projection against the naive permutation average, the
    quad_minor/quad_major contractions against the boxed quadruple
-   loops they replaced, and jobs=1 vs jobs=4 byte-identity of the
-   whole Gram-attack pipeline. *)
+   loops they replaced, and jobs=1 vs jobs=4 byte-identity of every
+   dense kernel (each sized to take the parallel path at jobs 4) and
+   of the whole Gram-attack pipeline. *)
 
 open Qdp_linalg
 open Qdp_quantum
@@ -90,16 +91,56 @@ let prop_apply_into_matches_apply =
       done;
       !ok)
 
+(* A jobs=1 vs jobs=4 identity check is vacuous unless jobs 4 really
+   dispatches the kernel in parallel: a kernel of [macs] MACs must
+   clear the cutoff scaled by the (oversubscribed) pool of 4. *)
+let check_par_at_jobs4 ~macs =
+  Alcotest.(check string) "jobs=4 takes the parallel path" "par"
+    (with_jobs 4 (fun () -> Mat.path_tag (Mat.par_profitable ~macs)))
+
 let test_gram_jobs_invariant () =
-  (* big enough to cross the parallel cutoff (dim * n^2 >= 2^16) *)
+  (* 96 columns = three 32-row output tiles, so pool domains own some
+     of them; at 16 columns the one tile runs on the caller. *)
   let st = Random.State.make [| 0x9e1; 7 |] in
-  let b = random_batch st 2048 8 in
+  let b = random_batch st 256 96 in
+  check_par_at_jobs4 ~macs:(Mat.macs3 256 96 96);
   let g1 = with_jobs 1 (fun () -> Batch.gram b) in
   let g4 = with_jobs 4 (fun () -> Batch.gram b) in
   Alcotest.(check bool) "jobs=1 and jobs=4 byte-identical" true
     (mat_identical g1 g4);
   Alcotest.(check bool) "parallel gram matches naive" true
     (mat_close g4 (naive_gram b))
+
+let test_mul_jobs_invariant () =
+  let st = Random.State.make [| 0x3a7; 1 |] in
+  let a = random_mat st 64 64 and b = random_mat st 64 64 in
+  check_par_at_jobs4 ~macs:(Mat.macs3 64 64 64);
+  let m1 = with_jobs 1 (fun () -> Mat.mul a b) in
+  let m4 = with_jobs 4 (fun () -> Mat.mul a b) in
+  Alcotest.(check bool) "jobs=1 and jobs=4 byte-identical" true
+    (mat_identical m1 m4)
+
+let test_tensor_jobs_invariant () =
+  let st = Random.State.make [| 0x3a7; 2 |] in
+  let a = random_mat st 16 16 and b = random_mat st 32 32 in
+  check_par_at_jobs4 ~macs:(Mat.macs4 16 16 32 32);
+  let m1 = with_jobs 1 (fun () -> Mat.tensor a b) in
+  let m4 = with_jobs 4 (fun () -> Mat.tensor a b) in
+  Alcotest.(check bool) "jobs=1 and jobs=4 byte-identical" true
+    (mat_identical m1 m4)
+
+let test_apply_into_jobs_invariant () =
+  let st = Random.State.make [| 0x3a7; 3 |] in
+  let m = random_mat st 64 64 and src = random_batch st 64 64 in
+  check_par_at_jobs4 ~macs:(Mat.macs3 64 64 64);
+  let run jobs =
+    let dst = Batch.create 64 64 in
+    with_jobs jobs (fun () -> Batch.apply_into m ~src ~dst);
+    dst
+  in
+  let d1 = run 1 and d4 = run 4 in
+  Alcotest.(check bool) "jobs=1 and jobs=4 byte-identical" true
+    (Batch.raw_re d1 = Batch.raw_re d4 && Batch.raw_im d1 = Batch.raw_im d4)
 
 (* --- batched Pure kernels vs scalar --- *)
 
@@ -331,6 +372,12 @@ let () =
         [
           Alcotest.test_case "gram jobs-invariant" `Quick
             test_gram_jobs_invariant;
+          Alcotest.test_case "mat.mul jobs-invariant" `Quick
+            test_mul_jobs_invariant;
+          Alcotest.test_case "mat.tensor jobs-invariant" `Quick
+            test_tensor_jobs_invariant;
+          Alcotest.test_case "apply_into jobs-invariant" `Quick
+            test_apply_into_jobs_invariant;
           Alcotest.test_case "attack gram jobs-invariant" `Quick
             test_exact_gram_jobs_invariant;
         ] );

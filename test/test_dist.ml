@@ -229,7 +229,21 @@ let test_map_shards_empty_and_zero_workers () =
         (got = [| seq_shards 5 |]);
       Alcotest.(check int) "nested: no fallback" 0 fallbacks;
       Alcotest.(check bool) "nested: no report" true
-        (Dist.last_report () == before))
+        (Dist.last_report () == before));
+  (* A shard's own [Failure] is recomputed once in the coordinator and
+     re-raised; it must not be mistaken for a failed fork and rerun the
+     whole grid in-process.  Workers append to their own copy of
+     [seen], so it lists only what the coordinator evaluated. *)
+  let seen = ref [] in
+  with_dist ~workers:2 (fun () ->
+      Alcotest.check_raises "shard Failure re-raised" (Failure "boom")
+        (fun () ->
+          ignore
+            (Dist.map_shards ~label:"t/failure" ~n:4 (fun i ->
+                 seen := i :: !seen;
+                 if i = 2 then failwith "boom" else i * i))));
+  Alcotest.(check (list int)) "coordinator reran only the failing shard"
+    [ 2 ] (List.rev !seen)
 
 (* --- chaos: the central invariant --- *)
 

@@ -124,6 +124,17 @@ let test_mat_apply_vs_mul () =
   let col = Vec.init 6 (fun i -> Mat.get via_outer i 0) in
   Alcotest.(check bool) "apply matches mul" true (Vec.equal ~eps:1e-8 via_apply col)
 
+let test_mat_macs_overflow_safe () =
+  (* 2^16 on every axis: the int product 2^64 would wrap negative on
+     63-bit ints and defeat Mat.tensor's dispatch cutoff; the float
+     estimate stays exact and positive *)
+  let n = 65536 in
+  let m4 = Mat.macs4 n n n n in
+  Alcotest.(check bool) "no wraparound" true (m4 > 0.);
+  check_float ~eps:1. "exact float product" (2. ** 64.) m4;
+  check_float ~eps:0. "macs2" 12. (Mat.macs2 3 4);
+  check_float ~eps:0. "macs3" 60. (Mat.macs3 3 4 5)
+
 (* --- Eig --- *)
 
 let test_eig_symmetric_reconstruct () =
@@ -413,6 +424,8 @@ let () =
             test_mat_tensor_mixed_product;
           Alcotest.test_case "swap gate" `Quick test_mat_swap_gate;
           Alcotest.test_case "apply vs mul" `Quick test_mat_apply_vs_mul;
+          Alcotest.test_case "overflow-safe MACs" `Quick
+            test_mat_macs_overflow_safe;
         ] );
       ( "eig",
         [

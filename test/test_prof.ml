@@ -187,8 +187,8 @@ let test_calib_sampling () =
 
 (* Regression test for the sample-retention bug: the capped raw-sample
    list used to keep the FIRST max_samples calls (cold-start prefix,
-   first-write-wins), so long runs exported only startup noise to the
-   cost model.  The ring must keep the most recent window instead. *)
+   first-write-wins), so long runs exported only startup noise to
+   BENCH_calib.json.  The ring must keep the most recent window instead. *)
 let test_calib_tail_window () =
   Calib.reset ();
   Calib.set_enabled true;
