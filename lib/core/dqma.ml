@@ -353,10 +353,14 @@ let evaluate_packed (Packed (p, inst)) = (p.name, evaluate p inst)
 (* Backends and the differential harness                               *)
 (* ------------------------------------------------------------------ *)
 
-type ('i, 'p) network = Random.State.t -> 'i -> 'p -> bool
+type ('i, 'p) network = 'i -> 'p -> Random.State.t -> bool
 
 type ('i, 'p) faulty_network =
-  Random.State.t -> Fault_env.t -> 'i -> 'p -> Runtime.verdict array * Runtime.stats
+  'i ->
+  'p ->
+  Random.State.t ->
+  Fault_env.t ->
+  Runtime.verdict array * Runtime.stats
 
 type ('i, 'p) backend = Analytic | Network of ('i, 'p) network
 
@@ -370,11 +374,12 @@ let obs_crossval_runs = Qdp_obs.Metrics.counter "crossval.network_runs"
 let backend_accept ?(trials = 2000) ~st backend p inst prover =
   match backend with
   | Analytic -> p.accept inst prover
-  | Network run ->
+  | Network network ->
+      let run = network inst prover in
       let hits =
         Qdp_dist.monte_carlo_hits ~label:"xval" ~st ~trials (fun st ->
             Qdp_obs.Metrics.incr obs_crossval_runs;
-            run st inst prover)
+            run st)
       in
       float_of_int hits /. float_of_int trials
 
@@ -415,11 +420,14 @@ let cross_validate ?(trials = 2000) ?(z = 5.) ~st ~network p inst =
       (fun i ->
          let name, prover, pst = tagged.(i) in
          let analytic = p.accept inst prover in
+         (* prepared once per strategy, on whichever domain or worker
+            runs this shard; the trials only draw coins *)
+         let run = network inst prover in
          let hits =
            Qdp_dist.monte_carlo_hits ~st:pst ~trials (fun st ->
                Qdp_obs.Metrics.incr obs_crossval_runs;
                Qdp_obs.Progress.step progress;
-               network st inst prover)
+               run st)
          in
          let sampled = float_of_int hits /. float_of_int trials in
          (* a deterministic verdict (p in {0, 1}) must reproduce exactly;

@@ -153,15 +153,27 @@ val evaluate_packed : packed -> string * evaluation
     checks agreement — the network path Monte-Carlo estimates what the
     analytic path computes exactly. *)
 
-(** A network realization: one sampled run, [true] on accept. *)
-type ('i, 'p) network = Random.State.t -> 'i -> 'p -> bool
+(** A network realization, staged: the partial application
+    [network inst prover] is the per-instance {e prepare} step (it
+    builds fingerprints, chain states and graphs once and draws no
+    randomness); applying the result to a [Random.State.t] is one
+    sampled run, [true] on accept, that only draws coins.  A prepared
+    closure reused for many trials gives the same verdicts as a fresh
+    preparation per trial, from the same state. *)
+type ('i, 'p) network = 'i -> 'p -> Random.State.t -> bool
 
-(** A fault-aware network realization: one sampled run under a
-    {!Fault_env.t}, returning the raw per-node verdicts and stats so
-    the fault layer ([Qdp_faults]) can apply recovery semantics
-    (timeout-as-reject, degraded verdicts of the survivors, retry). *)
+(** A fault-aware network realization, staged like {!network}: after
+    [faulty inst prover] has prepared the instance, each application
+    is one sampled run under a {!Fault_env.t}, returning the raw
+    per-node verdicts and stats so the fault layer ([Qdp_faults]) can
+    apply recovery semantics (timeout-as-reject, degraded verdicts of
+    the survivors, retry). *)
 type ('i, 'p) faulty_network =
-  Random.State.t -> Fault_env.t -> 'i -> 'p -> Runtime.verdict array * Runtime.stats
+  'i ->
+  'p ->
+  Random.State.t ->
+  Fault_env.t ->
+  Runtime.verdict array * Runtime.stats
 
 (** How to obtain a single-repetition acceptance probability. *)
 type ('i, 'p) backend = Analytic | Network of ('i, 'p) network
@@ -169,7 +181,8 @@ type ('i, 'p) backend = Analytic | Network of ('i, 'p) network
 (** [backend_accept ?trials ~st backend p inst prover] is the
     single-repetition acceptance under the chosen backend: exact for
     [Analytic], a [trials]-sample frequency for [Network] (default
-    2000; each run increments the [crossval.network_runs] counter). *)
+    2000; the instance is prepared once, and each run increments the
+    [crossval.network_runs] counter). *)
 val backend_accept :
   ?trials:int ->
   st:Random.State.t ->
@@ -200,7 +213,9 @@ type check = {
     [crossval.checks] and [crossval.disagreements].  Strategies are
     the shards of one [Qdp_dist.map_shards] grid, each sampling from an
     RNG state split off [st] in strategy order, so the check list is
-    byte-identical at every [--jobs]/[--workers] value. *)
+    byte-identical at every [--jobs]/[--workers] value.  Each shard
+    prepares its (instance, strategy) once and runs every trial on
+    the prepared closure. *)
 val cross_validate :
   ?trials:int ->
   ?z:float ->

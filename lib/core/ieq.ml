@@ -47,7 +47,9 @@ let answer_ok_left ~q x ~coin a =
   a.a_alpha = coin && a.a_eval = poly_eval ~q x a.a_alpha
 
 let answer_ok_right ~q y a = a.a_eval = poly_eval ~q y a.a_alpha
-let table_ok_left ~q x t = t = table ~q x
+let table_ok_left ~q x =
+  let expected = table ~q x in
+  fun t -> t = expected
 
 let probe_ok t ~beta ~value =
   beta >= 0 && beta < Array.length t && t.(beta) = value

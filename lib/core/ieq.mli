@@ -113,7 +113,8 @@ val answer_ok_left : q:int -> Gf2.t -> coin:int -> answer -> bool
 val answer_ok_right : q:int -> Gf2.t -> answer -> bool
 
 (** [v_0]'s table anchor (1-turn variant): the certificate is
-    pointwise equal to [x]'s evaluation table. *)
+    pointwise equal to [x]'s evaluation table.  The partial
+    application [table_ok_left ~q x] builds that table once. *)
 val table_ok_left : q:int -> Gf2.t -> int array -> bool
 
 (** One neighbour probe (1-turn variant): the left neighbour's table

@@ -8,10 +8,37 @@ open Qdp_codes
    the differential harness checks the analytic engine against. *)
 
 let copy_pair a b = (Gf2.copy a, Gf2.copy b)
+
+(* A backend run, staged: [prepare spec inst prover] builds the
+   instance's states once and returns one trial, which only draws
+   coins.  Both runtime fields of an entry are views of it. *)
+type ('i, 'p) staged =
+  Registry.spec ->
+  'i ->
+  'p ->
+  ?faults:Fault_env.t ->
+  Random.State.t ->
+  Qdp_network.Runtime.verdict array * Qdp_network.Runtime.stats
+
+let network (prepare : ('i, 'p) staged) =
+  Some
+    (fun s inst prover ->
+      let run = prepare s inst prover in
+      fun st -> fst (Qdp_network.Runtime.accepted (run st)))
+
+let faulty (prepare : ('i, 'p) staged) =
+  Some
+    (fun s inst prover ->
+      let run = prepare s inst prover in
+      fun st env -> run ~faults:env st)
+
 let paper_reps (s : Registry.spec) = Eq_path.paper_repetitions ~r:s.r
 
 let eq_params (s : Registry.spec) =
   Eq_path.make ?repetitions:s.repetitions ~seed:s.seed ~n:s.n ~r:s.r ()
+
+let eq_prepare s (x, y) strategy =
+  Runtime_eq.prepare (eq_params s) x y strategy
 
 let eq_entry =
   Registry.Entry
@@ -27,18 +54,8 @@ let eq_entry =
       protocol = (fun s -> Dqma.eq_path (eq_params s));
       demo =
         (fun ctx -> (copy_pair ctx.x ctx.x, copy_pair ctx.x ctx.y));
-      network =
-        Some
-          (fun s ->
-            let params = eq_params s in
-            fun st (x, y) strategy ->
-              fst (Runtime_eq.run_once st params x y strategy));
-      faulty =
-        Some
-          (fun s ->
-            let params = eq_params s in
-            fun st env (x, y) strategy ->
-              Runtime_eq.run_faulty st env params x y strategy);
+      network = network eq_prepare;
+      faulty = faulty eq_prepare;
       quantum_links = true;
       conformance = true;
     }
@@ -54,6 +71,10 @@ let multi_of_ctx (ctx : Registry.demo_ctx) =
     mk
       (Array.init s.t (fun i ->
            if i = s.t - 1 then Gf2.copy ctx.y else Gf2.copy ctx.x)) )
+
+let eqt_prepare s (mi : Dqma.multi_instance) strategy =
+  Runtime_tree.prepare (eqt_params s) mi.Dqma.graph
+    ~terminals:mi.Dqma.terminals ~inputs:mi.Dqma.inputs strategy
 
 let eqt_entry =
   Registry.Entry
@@ -71,28 +92,17 @@ let eqt_entry =
         (fun s -> { s with r = 2; repetitions = Some (paper_reps s) });
       protocol = (fun s -> Dqma.eq_tree (eqt_params s));
       demo = multi_of_ctx;
-      network =
-        Some
-          (fun s ->
-            let params = eqt_params s in
-            fun st (mi : Dqma.multi_instance) strategy ->
-              fst
-                (Runtime_tree.run_once st params mi.Dqma.graph
-                   ~terminals:mi.Dqma.terminals ~inputs:mi.Dqma.inputs
-                   strategy));
-      faulty =
-        Some
-          (fun s ->
-            let params = eqt_params s in
-            fun st env (mi : Dqma.multi_instance) strategy ->
-              Runtime_tree.run_faulty st env params mi.Dqma.graph
-                ~terminals:mi.Dqma.terminals ~inputs:mi.Dqma.inputs strategy);
+      network = network eqt_prepare;
+      faulty = faulty eqt_prepare;
       quantum_links = true;
       conformance = true;
     }
 
 let gt_params (s : Registry.spec) =
   Gt.make ?repetitions:s.repetitions ~seed:s.seed ~n:s.n ~r:s.r ()
+
+let gt_prepare s (x, y) prover =
+  Runtime_gt.prepare (gt_params s) x y (Runtime_gt.of_prover prover)
 
 let gt_entry =
   Registry.Entry
@@ -108,19 +118,8 @@ let gt_entry =
       protocol = (fun s -> Dqma.gt (gt_params s));
       demo =
         (fun ctx -> (copy_pair ctx.big ctx.small, copy_pair ctx.small ctx.big));
-      network =
-        Some
-          (fun s ->
-            let params = gt_params s in
-            fun st (x, y) prover ->
-              fst (Runtime_gt.run_once st params x y (Runtime_gt.of_prover prover)));
-      faulty =
-        Some
-          (fun s ->
-            let params = gt_params s in
-            fun st env (x, y) prover ->
-              Runtime_gt.run_faulty st env params x y
-                (Runtime_gt.of_prover prover));
+      network = network gt_prepare;
+      faulty = faulty gt_prepare;
       quantum_links = true;
       conformance = true;
     }
@@ -168,6 +167,9 @@ let dqcma_entry =
       conformance = true;
     }
 
+let dma_prepare (s : Registry.spec) (x, y) prover =
+  Runtime_dma.prepare ~r:s.r x y prover
+
 let dma_entry =
   Registry.Entry
     {
@@ -181,21 +183,16 @@ let dma_entry =
       demo_fix = Fun.id;
       protocol = (fun s -> Dqma.dma_trivial ~n:s.n ~r:s.r);
       demo = (fun ctx -> (copy_pair ctx.x ctx.x, copy_pair ctx.x ctx.y));
-      network =
-        Some
-          (fun s ->
-            fun _st (x, y) prover -> fst (Runtime_dma.run ~r:s.r x y prover));
-      faulty =
-        Some
-          (fun s ->
-            fun st env (x, y) prover ->
-              Runtime_dma.run_faulty st env ~r:s.r x y prover);
+      network = network dma_prepare;
+      faulty = faulty dma_prepare;
       quantum_links = false;
       conformance = true;
     }
 
 let rpls_params (s : Registry.spec) =
   { Rpls.n = s.n; r = s.r; parity_checks = s.d }
+
+let rpls_prepare s (x, y) prover = Rpls.prepare (rpls_params s) x y prover
 
 let rpls_entry =
   Registry.Entry
@@ -210,17 +207,8 @@ let rpls_entry =
       demo_fix = (fun s -> { s with d = 4 });
       protocol = (fun s -> Dqma.rpls (rpls_params s));
       demo = (fun ctx -> (copy_pair ctx.x ctx.x, copy_pair ctx.x ctx.y));
-      network =
-        Some
-          (fun s ->
-            let params = rpls_params s in
-            fun st (x, y) prover -> fst (Rpls.run_once st params x y prover));
-      faulty =
-        Some
-          (fun s ->
-            let params = rpls_params s in
-            fun st env (x, y) prover ->
-              Rpls.run_faulty st env params x y prover);
+      network = network rpls_prepare;
+      faulty = faulty rpls_prepare;
       quantum_links = false;
       conformance = true;
     }
@@ -272,24 +260,17 @@ let ieq_entry turns =
           cost_formula = "O(n log n) bits/node, 1 turn";
         }
   in
+  let ieq_prepare s (x, y) prover =
+    Runtime_ieq.prepare (ieq_params turns s) x y prover
+  in
   Registry.Entry
     {
       meta;
       demo_fix = Fun.id;
       protocol = (fun s -> Dqma.ieq (ieq_params turns s));
       demo = (fun ctx -> ieq_demo (ieq_params turns ctx.demo_spec) ctx);
-      network =
-        Some
-          (fun s ->
-            let params = ieq_params turns s in
-            fun st (x, y) prover ->
-              fst (Runtime_ieq.run_once st params x y prover));
-      faulty =
-        Some
-          (fun s ->
-            let params = ieq_params turns s in
-            fun st env (x, y) prover ->
-              Runtime_ieq.run_faulty st env params x y prover);
+      network = network ieq_prepare;
+      faulty = faulty ieq_prepare;
       quantum_links = false;
       conformance = false;
     }

@@ -140,6 +140,11 @@ let cross_validate_demo ?trials ~st spec (Entry e) =
 type fault_case = {
   fc_strategy : string;
   fc_analytic : float;
+  fc_prepare :
+    unit ->
+    Random.State.t ->
+    Fault_env.t ->
+    Runtime.verdict array * Runtime.stats;
   fc_run : Random.State.t -> Fault_env.t -> Runtime.verdict array * Runtime.stats;
 }
 
@@ -158,14 +163,19 @@ let fault_suite spec (Entry e) =
   | Some mk ->
       let spec = e.demo_fix spec in
       let p = e.protocol spec in
-      let run = mk spec in
+      let faulty = mk spec in
+      (* cases stay unprepared: a suite holds every strategy of an
+         entry, and their states are built only while a caller runs
+         one *)
       let cases inst provers =
         List.map
           (fun (name, prover) ->
+            let fc_prepare () = faulty inst prover in
             {
               fc_strategy = name;
               fc_analytic = p.Dqma.accept inst prover;
-              fc_run = (fun st env -> run st env inst prover);
+              fc_prepare;
+              fc_run = (fun st env -> fc_prepare () st env);
             })
           provers
       in

@@ -73,13 +73,14 @@ val context_of : ?x:Gf2.t -> ?y:Gf2.t -> spec -> demo_ctx
     threshold); [demo] builds one yes and one no instance; [network],
     when present, is the protocol's sampled message-passing
     realization, the counterpart the differential harness
-    ({!Dqma.cross_validate}) checks the analytic path against;
+    ({!Dqma.cross_validate}) checks the analytic path against, staged
+    so that [network spec inst prover] prepares the instance once;
     [faulty], when present, is the same realization run under a fault
-    environment (the [fault_tolerant] capability — `qdp faults` sweeps
-    every entry that has one); [quantum_links] records whether the
-    realization forwards quantum registers (so the fault sweep knows
-    whether channel noise or classical bit flips apply);
-    [conformance] admits the entry into {!demo_suite}. *)
+    environment, staged the same way (the [fault_tolerant] capability
+    — `qdp faults` sweeps every entry that has one); [quantum_links]
+    records whether the realization forwards quantum registers (so
+    the fault sweep knows whether channel noise or classical bit flips
+    apply); [conformance] admits the entry into {!demo_suite}. *)
 type entry =
   | Entry : {
       meta : meta;
@@ -160,10 +161,19 @@ val cross_validate_demo :
     fault environment.  [fc_analytic] is the exact noiseless
     single-repetition acceptance — the baseline both invariants
     (soundness contractivity, completeness decay) are measured
-    against. *)
+    against.  [fc_prepare ()] builds the case's prover states once
+    (drawing no randomness) and returns the per-trial run, which
+    only draws coins and may be applied any number of times; a
+    caller measuring many trials prepares once before its loop.
+    [fc_run st env] is the one-shot [fc_prepare () st env]. *)
 type fault_case = {
   fc_strategy : string;
   fc_analytic : float;
+  fc_prepare :
+    unit ->
+    Random.State.t ->
+    Fault_env.t ->
+    Runtime.verdict array * Runtime.stats;
   fc_run : Random.State.t -> Fault_env.t -> Runtime.verdict array * Runtime.stats;
 }
 
@@ -183,7 +193,8 @@ type fault_suite = {
 
 (** [fault_suite spec e] unpacks [e] for the fault sweep — [None] when
     the entry has no fault-aware realization.  [demo_fix] is applied to
-    [spec] first, as in {!cross_validate_demo}. *)
+    [spec] first, as in {!cross_validate_demo}.  No case is prepared
+    here, so a suite is cheap to hold whatever its size. *)
 val fault_suite : spec -> entry -> fault_suite option
 
 (** [demo_suite ~seed] is the conformance suite: one yes and one no

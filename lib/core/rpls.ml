@@ -26,63 +26,9 @@ let accept_probability params x y prover =
   end
 
 type node_state = {
-  proof : Gf2.t;
-  parities : bool array;
+  parities : bool array;  (** the node's proof against the shared seeds *)
   mutable verdict : Runtime.verdict;
 }
-
-let run_with ?faults st params x y prover =
-  let w = proofs_of params prover in
-  (* shared randomness: the same parity vectors at every node *)
-  let seeds =
-    Array.init params.parity_checks (fun _ -> Gf2.random st params.n)
-  in
-  let g = Graph.path params.r in
-  let program =
-    {
-      Runtime.init =
-        (fun id ->
-          let proof = w.(id) in
-          let verdict : Runtime.verdict =
-            if id = 0 && not (Gf2.equal proof x) then Reject
-            else if id = params.r && not (Gf2.equal proof y) then Reject
-            else Accept
-          in
-          {
-            proof;
-            parities = Array.map (fun s -> Gf2.dot s proof) seeds;
-            verdict;
-          });
-      round =
-        (fun ~round ~id state ~inbox ->
-          match round with
-          | 1 ->
-              let payload = Array.to_list state.parities in
-              (state, List.map (fun v -> (v, payload)) (Graph.neighbours g id))
-          | 2 ->
-              (* timeout-as-reject: silence from any neighbour is as
-                 damning as a mismatching parity *)
-              let senders = List.sort_uniq compare (List.map fst inbox) in
-              if List.length senders <> List.length (Graph.neighbours g id)
-              then state.verdict <- Runtime.Reject;
-              List.iter
-                (fun (_, payload) ->
-                  List.iteri
-                    (fun i b ->
-                      if b <> state.parities.(i) then
-                        state.verdict <- Runtime.Reject)
-                    payload)
-                inbox;
-              (state, [])
-          | _ -> (state, []));
-      finish = (fun ~id:_ state -> state.verdict);
-    }
-  in
-  Runtime.run ?faults g ~rounds:2 program
-
-let run_once st params x y prover =
-  let verdicts, stats = run_with st params x y prover in
-  (Runtime.global_verdict verdicts = Runtime.Accept, stats)
 
 (* Classical payloads again: corruption flips one parity bit of the
    exchanged check vector. *)
@@ -94,9 +40,65 @@ let flip_parity st = function
       a.(i) <- not a.(i);
       Array.to_list a
 
-let run_faulty st (env : Fault_env.t) params x y prover =
-  let faults = Fault_env.injector ~corrupt:flip_parity env in
-  run_with ~faults st params x y prover
+let prepare params x y prover =
+  let w = proofs_of params prover in
+  let g = Graph.path params.r in
+  (* the end nodes' input checks need no randomness *)
+  let anchored =
+    Array.mapi
+      (fun id proof ->
+        not
+          ((id = 0 && not (Gf2.equal proof x))
+          || (id = params.r && not (Gf2.equal proof y))))
+      w
+  in
+  fun ?faults st ->
+    let faults = Option.map (Fault_env.injector ~corrupt:flip_parity) faults in
+    (* shared randomness: the same parity vectors at every node *)
+    let seeds =
+      Array.init params.parity_checks (fun _ -> Gf2.random st params.n)
+    in
+    let program =
+      {
+        Runtime.init =
+          (fun id ->
+            {
+              parities = Array.map (fun s -> Gf2.dot s w.(id)) seeds;
+              verdict = (if anchored.(id) then Accept else Reject);
+            });
+        round =
+          (fun ~round ~id state ~inbox ->
+            match round with
+            | 1 ->
+                let payload = Array.to_list state.parities in
+                ( state,
+                  List.map (fun v -> (v, payload)) (Graph.neighbours g id) )
+            | 2 ->
+                (* timeout-as-reject: silence from any neighbour is as
+                   damning as a mismatching parity *)
+                let senders = List.sort_uniq compare (List.map fst inbox) in
+                if List.length senders <> List.length (Graph.neighbours g id)
+                then state.verdict <- Runtime.Reject;
+                List.iter
+                  (fun (_, payload) ->
+                    List.iteri
+                      (fun i b ->
+                        if b <> state.parities.(i) then
+                          state.verdict <- Runtime.Reject)
+                      payload)
+                  inbox;
+                (state, [])
+            | _ -> (state, []));
+        finish = (fun ~id:_ state -> state.verdict);
+      }
+    in
+    Runtime.run ?faults g ~rounds:2 program
+
+let run_once st params x y prover =
+  Runtime.accepted (prepare params x y prover st)
+
+let run_faulty st env params x y prover =
+  prepare params x y prover ~faults:env st
 
 let costs params =
   {

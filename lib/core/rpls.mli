@@ -30,6 +30,23 @@ type prover = Write of Gf2.t | Write_each of Gf2.t array
     check with probability 1/2. *)
 val accept_probability : params -> Gf2.t -> Gf2.t -> prover -> float
 
+(** [prepare params x y prover] is the per-instance step: it lays out
+    the proofs and settles the end nodes' input checks, drawing no
+    randomness.  The returned closure samples one execution on the
+    {!Qdp_network.Runtime} engine, drawing the shared parity seeds from
+    its [Random.State.t], and may be reused for any number of trials
+    with the same verdicts and stats as a fresh [prepare] per trial.
+    Under [?faults], corruption flips one exchanged parity bit per
+    corrupted message. *)
+val prepare :
+  params ->
+  Gf2.t ->
+  Gf2.t ->
+  prover ->
+  ?faults:Fault_env.t ->
+  Random.State.t ->
+  Qdp_network.Runtime.verdict array * Qdp_network.Runtime.stats
+
 (** [run_once st params x y prover] samples one execution on the
     {!Qdp_network.Runtime} engine (shared randomness drawn from [st])
     and returns the verdict with traffic stats. *)
@@ -42,8 +59,7 @@ val run_once :
   bool * Qdp_network.Runtime.stats
 
 (** [run_faulty st env params x y prover] is {!run_once} under the
-    fault environment; corruption flips one exchanged parity bit per
-    corrupted message.  Returns raw per-node verdicts for the fault
+    fault environment.  Returns raw per-node verdicts for the fault
     layer's recovery semantics. *)
 val run_faulty :
   Random.State.t ->

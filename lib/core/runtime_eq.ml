@@ -10,13 +10,16 @@ type params = Eq_path.params = {
 }
 
 type node_state = {
-  role : [ `Left | `Middle | `Right ];
   kept : Vec.t option;  (** register retained for the local SWAP test *)
   outgoing : Vec.t option;  (** register to forward right in round 1 *)
   mutable verdict : Runtime.verdict;
 }
 
-let run_with ?faults st params x y strategy =
+(* Payloads are bare fingerprint registers, so the environment's
+   register noise is the payload corruptor. *)
+let injector env = Fault_env.injector ~corrupt:(Fault_env.apply_qnoise env) env
+
+let prepare params x y strategy =
   let fp = Fingerprint.standard ~seed:params.seed ~n:params.n in
   let hx = Fingerprint.state fp x in
   let hy_state = Fingerprint.state fp y in
@@ -24,22 +27,27 @@ let run_with ?faults st params x y strategy =
     Strategy.node_state ~r:params.r ~left:hx ~right:hy_state
       ~embed:(Fingerprint.state fp) strategy
   in
+  (* the prover's register at every middle node *)
+  let register =
+    Array.init (params.r + 1) (fun id ->
+        if id = 0 || id = params.r then None else Some (prover_state id))
+  in
+  let bob = Fingerprint.accept_prob fp y in
   let g = Graph.path params.r in
-  let program =
+  let program st =
     {
       Runtime.init =
         (fun id ->
-          if id = 0 then
-            { role = `Left; kept = None; outgoing = Some hx; verdict = Accept }
+          if id = 0 then { kept = None; outgoing = Some hx; verdict = Accept }
           else if id = params.r then
-            { role = `Right; kept = None; outgoing = None; verdict = Accept }
+            { kept = None; outgoing = None; verdict = Accept }
           else begin
-            (* the prover's pair, symmetrized by a local coin *)
-            let s = prover_state id in
-            let a, b = (Vec.copy s, Vec.copy s) in
-            let kept, out = if Random.State.bool st then (a, b) else (b, a) in
-            { role = `Middle; kept = Some kept; outgoing = Some out;
-              verdict = Accept }
+            (* the local coin symmetrizing the prover's pair; both
+               halves are the same state, so it decides nothing here
+               but is still drawn from the verifier's coins *)
+            ignore (Random.State.bool st : bool);
+            let reg = register.(id) in
+            { kept = reg; outgoing = reg; verdict = Accept }
           end);
       round =
         (fun ~round ~id state ~inbox ->
@@ -49,25 +57,20 @@ let run_with ?faults st params x y strategy =
               match state.outgoing with
               | Some reg when id < params.r -> (state, [ (id + 1, reg) ])
               | _ -> (state, []))
+          | 2 when id = 0 -> (state, [])
           | 2 -> (
-              (* receive from the left and test *)
-              match (state.role, inbox) with
-              | `Middle, [ (_, arriving) ] ->
-                  let kept =
+              (* receive from the left and test: v_r against its own
+                 input, a middle node against its kept register *)
+              match inbox with
+              | [ (_, arriving) ] ->
+                  let p =
                     match state.kept with
-                    | Some k -> k
-                    | None -> assert false
+                    | Some kept -> Sim.swap_accept [| arriving |] [| kept |]
+                    | None -> bob arriving
                   in
-                  let p = Sim.swap_accept [| arriving |] [| kept |] in
                   if Random.State.float st 1. > p then
                     state.verdict <- Runtime.Reject;
                   (state, [])
-              | `Right, [ (_, arriving) ] ->
-                  let p = Fingerprint.accept_prob fp y arriving in
-                  if Random.State.float st 1. > p then
-                    state.verdict <- Runtime.Reject;
-                  (state, [])
-              | `Left, _ -> (state, [])
               | _ ->
                   state.verdict <- Runtime.Reject;
                   (state, []))
@@ -75,18 +78,16 @@ let run_with ?faults st params x y strategy =
       finish = (fun ~id:_ state -> state.verdict);
     }
   in
-  Runtime.run ?faults g ~rounds:2 program
+  fun ?faults st ->
+    Runtime.run ?faults:(Option.map injector faults) g ~rounds:2 (program st)
 
 let run_once st params x y strategy =
-  let verdicts, stats = run_with st params x y strategy in
-  (Runtime.global_verdict verdicts = Runtime.Accept, stats)
+  Runtime.accepted (prepare params x y strategy st)
 
-(* Payloads are bare fingerprint registers, so the environment's
-   register noise is the payload corruptor. *)
-let run_faulty st (env : Fault_env.t) params x y strategy =
-  let faults = Fault_env.injector ~corrupt:(Fault_env.apply_qnoise env) env in
-  run_with ~faults st params x y strategy
+let run_faulty st env params x y strategy =
+  prepare params x y strategy ~faults:env st
 
 let estimate_acceptance st ~trials params x y strategy =
+  let run = prepare params x y strategy in
   Runtime.estimate_acceptance ~st ~trials (fun st ->
-      fst (run_once st params x y strategy))
+      fst (Runtime.accepted (run st)))

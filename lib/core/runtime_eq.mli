@@ -23,6 +23,25 @@ type params = Eq_path.params = {
   repetitions : int;
 }
 
+(** [prepare params x y strategy] is the per-instance step: it encodes
+    the fingerprints of [x] and [y] and the prover's register at every
+    node (geodesic states included), drawing no randomness.  The
+    returned closure is one repetition — it only draws the verifier's
+    coins from its [Random.State.t] — and may be reused for any number
+    of trials; a closure prepared once gives the same verdicts and
+    stats as a fresh [prepare] per trial.  Under [?faults], forwarded
+    fingerprint registers pass through the environment's register
+    noise when the plan corrupts them, links drop/duplicate per the
+    plan and crashed nodes freeze. *)
+val prepare :
+  params ->
+  Gf2.t ->
+  Gf2.t ->
+  Strategy.t ->
+  ?faults:Fault_env.t ->
+  Random.State.t ->
+  Runtime.verdict array * Runtime.stats
+
 (** [run_once st params x y strategy] executes one repetition and
     returns whether every node accepted, plus the runtime's traffic
     stats. *)
@@ -34,12 +53,10 @@ val run_once :
   Strategy.t ->
   bool * Runtime.stats
 
-(** [run_faulty st env params x y strategy] executes one repetition
-    under the fault environment: forwarded fingerprint registers pass
-    through [env]'s register noise when the plan corrupts them, links
-    drop/duplicate per the plan, crashed nodes freeze.  Returns the
-    raw per-node verdicts so the fault layer can apply its recovery
-    semantics (degraded verdicts need to know who was down). *)
+(** [run_faulty st env params x y strategy] is one {!prepare}d
+    repetition under the fault environment.  Returns the raw per-node
+    verdicts so the fault layer can apply its recovery semantics
+    (degraded verdicts need to know who was down). *)
 val run_faulty :
   Random.State.t ->
   Fault_env.t ->
@@ -50,7 +67,7 @@ val run_faulty :
   Runtime.verdict array * Runtime.stats
 
 (** [estimate_acceptance st ~trials params x y strategy] is the
-    empirical acceptance frequency. *)
+    empirical acceptance frequency of one {!prepare}d instance. *)
 val estimate_acceptance :
   Random.State.t ->
   trials:int ->

@@ -15,62 +15,73 @@ let of_prover (p : Gt.prover) =
 type message = { idx : int; reg : Vec.t }
 
 type node_state = {
-  role : [ `Left | `Middle | `Right ];
   my_index : int;
-  kept : Vec.t option;
-  outgoing : Vec.t option;
+  kept : Vec.t option;  (** register for the local SWAP test; [None] at v_0 *)
+  outgoing : Vec.t option;  (** register forwarded right in round 1 *)
   mutable verdict : Runtime.verdict;
 }
 
-let run_with ?faults st (params : Gt.params) x y prover =
+(* Messages pair a classical index header with a quantum register; the
+   environment's register noise corrupts the register and leaves the
+   header intact (header corruption is a classical fault the index
+   comparison already catches deterministically). *)
+let injector (env : Fault_env.t) =
+  let corrupt st m = { m with reg = Fault_env.apply_qnoise env st m.reg } in
+  Fault_env.injector ~corrupt env
+
+let prepare (params : Gt.params) x y prover =
   let r = params.Gt.r in
   let g = Graph.path r in
-  (* per-node chain states built from that node's claimed index *)
-  let chain_state j i =
-    let hx, hy = Gt.prefix_states params i x y in
-    Strategy.node_state ~r ~left:hx ~right:hy prover.chain j
+  let index = Array.init (r + 1) prover.node_index in
+  (* The prover's register at every node, built from the prefix
+     fingerprints of that node's claimed index: v_0's x-prefix, v_r's
+     y-prefix, chain states between.  An index outside [0, n) has no
+     prefix: its node gets no register and rejects, as
+     {!Gt.single_round_accept} scores such a claim 0. *)
+  let register =
+    Array.init (r + 1) (fun id ->
+        let i = index.(id) in
+        if i < 0 || i >= params.Gt.n then None
+        else
+          let hx, hy = Gt.prefix_states params i x y in
+          Some
+            (if id = 0 then hx
+             else if id = r then hy
+             else Strategy.node_state ~r ~left:hx ~right:hy prover.chain id))
   in
-  let program =
+  let program st =
     {
       Runtime.init =
         (fun id ->
-          let i = prover.node_index id in
-          if id = 0 then begin
+          let i = index.(id) and reg = register.(id) in
+          if id = 0 then
             (* v_0's classical check: x_i must be 1 *)
-            let ok = i >= 0 && i < params.Gt.n && Gf2.get x i in
-            let hx, _ = Gt.prefix_states params i x y in
+            let ok = reg <> None && Gf2.get x i in
             {
-              role = `Left;
               my_index = i;
               kept = None;
-              outgoing = Some hx;
+              outgoing = reg;
               verdict = (if ok then Accept else Reject);
             }
-          end
-          else if id = r then begin
+          else if id = r then
             (* v_r's classical check: y_i must be 0 *)
-            let ok = i >= 0 && i < params.Gt.n && not (Gf2.get y i) in
-            let _, hy = Gt.prefix_states params i x y in
+            let ok = reg <> None && not (Gf2.get y i) in
             {
-              role = `Right;
               my_index = i;
-              kept = Some hy;
+              kept = reg;
               outgoing = None;
               verdict = (if ok then Accept else Reject);
             }
-          end
-          else begin
-            let s = chain_state id i in
-            let a, b = (Vec.copy s, Vec.copy s) in
-            let kept, out = if Random.State.bool st then (a, b) else (b, a) in
-            {
-              role = `Middle;
-              my_index = i;
-              kept = Some kept;
-              outgoing = Some out;
-              verdict = Accept;
-            }
-          end);
+          else
+            match reg with
+            | None ->
+                { my_index = i; kept = None; outgoing = None; verdict = Reject }
+            | Some _ ->
+                (* the local coin symmetrizing the prover's pair; both
+                   halves are the same state, so it decides nothing
+                   here but is still drawn from the verifier's coins *)
+                ignore (Random.State.bool st : bool);
+                { my_index = i; kept = reg; outgoing = reg; verdict = Accept });
       round =
         (fun ~round ~id state ~inbox ->
           match round with
@@ -80,45 +91,37 @@ let run_with ?faults st (params : Gt.params) x y prover =
                   (state, [ (id + 1, { idx = state.my_index; reg }) ])
               | _ -> (state, []))
           | 2 -> (
-              match (state.role, inbox) with
-              | (`Middle | `Right), [ (_, msg) ] ->
-                  if msg.idx <> state.my_index then begin
+              match (state.kept, inbox) with
+              | None, _ ->
+                  (* v_0, or a node already rejecting its claimed index *)
+                  (state, [])
+              | Some own, [ (_, msg) ] ->
+                  if msg.idx <> state.my_index then
                     (* Algorithm 7's neighbour index comparison *)
-                    state.verdict <- Runtime.Reject;
-                    (state, [])
-                  end
+                    state.verdict <- Runtime.Reject
                   else begin
-                    let own =
-                      match state.kept with Some k -> k | None -> assert false
-                    in
                     let p = Sim.swap_accept [| msg.reg |] [| own |] in
                     if Random.State.float st 1. > p then
-                      state.verdict <- Runtime.Reject;
-                    (state, [])
-                  end
-              | `Left, _ -> (state, [])
-              | _ ->
+                      state.verdict <- Runtime.Reject
+                  end;
+                  (state, [])
+              | Some _, _ ->
                   state.verdict <- Runtime.Reject;
                   (state, []))
           | _ -> (state, []));
       finish = (fun ~id:_ state -> state.verdict);
     }
   in
-  Runtime.run ?faults g ~rounds:2 program
+  fun ?faults st ->
+    Runtime.run ?faults:(Option.map injector faults) g ~rounds:2 (program st)
 
-let run_once st (params : Gt.params) x y prover =
-  let verdicts, stats = run_with st params x y prover in
-  (Runtime.global_verdict verdicts = Runtime.Accept, stats)
+let run_once st params x y prover =
+  Runtime.accepted (prepare params x y prover st)
 
-(* Messages pair a classical index header with a quantum register; the
-   environment's register noise corrupts the register and leaves the
-   header intact (header corruption is a classical fault the index
-   comparison already catches deterministically). *)
-let run_faulty st (env : Fault_env.t) params x y prover =
-  let corrupt st m = { m with reg = Fault_env.apply_qnoise env st m.reg } in
-  let faults = Fault_env.injector ~corrupt env in
-  run_with ~faults st params x y prover
+let run_faulty st env params x y prover =
+  prepare params x y prover ~faults:env st
 
 let estimate_acceptance st ~trials params x y prover =
+  let run = prepare params x y prover in
   Runtime.estimate_acceptance ~st ~trials (fun st ->
-      fst (run_once st params x y prover))
+      fst (Runtime.accepted (run st)))

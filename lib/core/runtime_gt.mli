@@ -29,6 +29,26 @@ val honest : Gf2.t -> Gf2.t -> prover
     runs both backends through. *)
 val of_prover : Gt.prover -> prover
 
+(** [prepare params x y prover] is the per-instance step: it resolves
+    every node's claimed index and builds its prefix fingerprints and
+    chain state, drawing no randomness.
+    The returned closure is one repetition — it only draws the
+    verifier's coins from its [Random.State.t] — and may be reused for
+    any number of trials; a closure prepared once gives the same
+    verdicts and stats as a fresh [prepare] per trial.  Under
+    [?faults], register noise corrupts the forwarded prefix
+    fingerprints (the classical index header is left to the
+    deterministic neighbour comparison).  A node whose claimed index
+    lies outside [\[0, n)] gets no register and rejects. *)
+val prepare :
+  Gt.params ->
+  Gf2.t ->
+  Gf2.t ->
+  prover ->
+  ?faults:Fault_env.t ->
+  Random.State.t ->
+  Runtime.verdict array * Runtime.stats
+
 (** [run_once st params x y prover] executes one repetition; returns
     the global verdict and traffic stats.  Nodes check their claimed
     index against the one arriving from the left and reject on
@@ -36,11 +56,9 @@ val of_prover : Gt.prover -> prover
 val run_once :
   Random.State.t -> Gt.params -> Gf2.t -> Gf2.t -> prover -> bool * Runtime.stats
 
-(** [run_faulty st env params x y prover] executes one repetition under
-    the fault environment; register noise corrupts the forwarded prefix
-    fingerprints (the classical index header is left to the
-    deterministic neighbour comparison).  Returns raw per-node verdicts
-    for the fault layer's recovery semantics. *)
+(** [run_faulty st env params x y prover] is one {!prepare}d
+    repetition under the fault environment, returning raw per-node
+    verdicts for the fault layer's recovery semantics. *)
 val run_faulty :
   Random.State.t ->
   Fault_env.t ->
@@ -51,6 +69,6 @@ val run_faulty :
   Runtime.verdict array * Runtime.stats
 
 (** [estimate_acceptance st ~trials params x y prover] is the
-    empirical acceptance frequency. *)
+    empirical acceptance frequency of one {!prepare}d instance. *)
 val estimate_acceptance :
   Random.State.t -> trials:int -> Gt.params -> Gf2.t -> Gf2.t -> prover -> float

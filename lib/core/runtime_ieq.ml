@@ -35,7 +35,7 @@ let schedule (p : Ieq.params) ~q =
 (* Schedule entry that deals the coins each variant's decision reads. *)
 let coin_turn (p : Ieq.params) = match p.Ieq.turns with 2 -> 1 | _ -> 2
 
-let prover_writes (p : Ieq.params) ~q x y prover ~turn transcript =
+let prover_writes (p : Ieq.params) ~q ~tables x y prover ~turn transcript =
   let nodes = List.init (p.Ieq.r + 1) Fun.id in
   match (p.Ieq.turns, turn) with
   | 3, 1 ->
@@ -51,10 +51,7 @@ let prover_writes (p : Ieq.params) ~q x y prover ~turn transcript =
       List.map
         (fun i -> (i, Answer (Ieq.respond p ~q x y prover ~alpha i)))
         nodes
-  | 1, 1 ->
-      List.map
-        (fun i -> (i, Table (Ieq.table ~q (Ieq.source p x y prover i))))
-        nodes
+  | 1, 1 -> List.map (fun i -> (i, Table tables.(i))) nodes
   | _ -> []
 
 (* Verification exchange of the 2/3-turn variants: announce the
@@ -112,16 +109,14 @@ let probe_round (p : Ieq.params) ~round ~coin ~id state ~inbox =
       (state, [])
   | _ -> (state, [])
 
-let finish (p : Ieq.params) ~q x y ~transcript ~id state =
+let finish (p : Ieq.params) ~q ~left_ok x y ~transcript ~id state =
   let r = p.Ieq.r in
   if state.verdict = Runtime.Reject then Runtime.Reject
   else
     let ok =
       if p.Ieq.turns = 1 then
         if id = 0 then
-          match state.tbl with
-          | Some t -> Ieq.table_ok_left ~q x t
-          | None -> false
+          match state.tbl with Some t -> left_ok t | None -> false
         else if id = r then
           let beta = (Runtime.Transcript.coins transcript ~turn:2).(id) in
           match state.tbl with
@@ -155,7 +150,7 @@ let finish (p : Ieq.params) ~q x y ~transcript ~id state =
     in
     if ok then Runtime.Accept else Runtime.Reject
 
-let program (p : Ieq.params) ~q g x y =
+let program (p : Ieq.params) ~q ~left_ok g x y =
   {
     Runtime.tp_init =
       (fun id ->
@@ -173,24 +168,10 @@ let program (p : Ieq.params) ~q g x y =
       (fun ~turn:_ ~round ~coin ~id state ~inbox ->
         if p.Ieq.turns = 1 then probe_round p ~round ~coin ~id state ~inbox
         else chain_round p g ~round ~id state ~inbox);
-    tp_finish = (fun ~transcript ~id state -> finish p ~q x y ~transcript ~id state);
+    tp_finish =
+      (fun ~transcript ~id state ->
+        finish p ~q ~left_ok x y ~transcript ~id state);
   }
-
-let run_with ?faults st (p : Ieq.params) x y prover =
-  Ieq.validate p;
-  let q = Ieq.field p in
-  let g = Graph.path p.Ieq.r in
-  let verdicts, stats, _transcript =
-    Runtime.run_turns ?faults ~st g ~schedule:(schedule p ~q)
-      ~prover:(fun ~turn transcript ->
-        prover_writes p ~q x y prover ~turn transcript)
-      (program p ~q g x y)
-  in
-  (verdicts, stats)
-
-let run_once st p x y prover =
-  let verdicts, stats = run_with st p x y prover in
-  (Runtime.global_verdict verdicts = Runtime.Accept, stats)
 
 (* Classical payloads: corruption perturbs one field element by +1
    mod q, or flips the commit bit — the smallest lie the checks can
@@ -212,7 +193,30 @@ let corrupt ~q st m =
   | Check { b; ans = None } -> Check { b = Option.map not b; ans = None }
   | Probe { beta; value } -> Probe { beta; value = bump value }
 
-let run_faulty st (env : Fault_env.t) p x y prover =
+let prepare (p : Ieq.params) x y prover =
+  Ieq.validate p;
   let q = Ieq.field p in
-  let faults = Fault_env.injector ~corrupt:(corrupt ~q) env in
-  run_with ~faults st p x y prover
+  let g = Graph.path p.Ieq.r in
+  let schedule = schedule p ~q in
+  (* the 1-turn certificate: every node's full evaluation table, and
+     v_0's anchor with its reference table built once *)
+  let tables =
+    if p.Ieq.turns = 1 then
+      Array.init (p.Ieq.r + 1) (fun i ->
+          Ieq.table ~q (Ieq.source p x y prover i))
+    else [||]
+  in
+  let left_ok = Ieq.table_ok_left ~q x in
+  let program = program p ~q ~left_ok g x y in
+  fun ?faults st ->
+    let faults = Option.map (Fault_env.injector ~corrupt:(corrupt ~q)) faults in
+    let verdicts, stats, _transcript =
+      Runtime.run_turns ?faults ~st g ~schedule
+        ~prover:(fun ~turn transcript ->
+          prover_writes p ~q ~tables x y prover ~turn transcript)
+        program
+    in
+    (verdicts, stats)
+
+let run_once st p x y prover = Runtime.accepted (prepare p x y prover st)
+let run_faulty st env p x y prover = prepare p x y prover ~faults:env st

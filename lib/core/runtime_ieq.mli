@@ -46,19 +46,27 @@ type msg =
     [params.turns]. *)
 val schedule : Ieq.params -> q:int -> Runtime.Turn.t list
 
-(** [run_with ?faults st params x y prover] executes one interaction
-    on [Graph.path params.r].  [st] supplies the verifier's coins. *)
-val run_with :
-  ?faults:msg Fault.t ->
-  Random.State.t ->
+(** [prepare params x y prover] is the per-instance step: it validates
+    [params], finds the field, builds the schedule and node program
+    and — for the 1-turn variant — every node's evaluation-table
+    certificate and [v_0]'s reference table, drawing no randomness.
+    The returned closure is one interaction on [Graph.path params.r];
+    its [Random.State.t] supplies the verifier's coins, and it may be
+    reused for any number of trials with the same verdicts and stats
+    as a fresh [prepare] per trial.  Under [?faults], corruption is
+    instantiated at this payload type.
+    @raise Invalid_argument on invalid [params] ({!Ieq.validate}). *)
+val prepare :
   Ieq.params ->
   Gf2.t ->
   Gf2.t ->
   Ieq.prover ->
+  ?faults:Fault_env.t ->
+  Random.State.t ->
   Runtime.verdict array * Runtime.stats
 
-(** [run_once st params x y prover] is [run_with] reduced to the
-    global verdict. *)
+(** [run_once st params x y prover] is one {!prepare}d interaction
+    reduced to the global verdict. *)
 val run_once :
   Random.State.t ->
   Ieq.params ->
@@ -67,8 +75,8 @@ val run_once :
   Ieq.prover ->
   bool * Runtime.stats
 
-(** [run_faulty st env params x y prover] runs under a fault
-    environment, corruption instantiated at this payload type. *)
+(** [run_faulty st env params x y prover] is one {!prepare}d
+    interaction under a fault environment. *)
 val run_faulty :
   Random.State.t ->
   Fault_env.t ->

@@ -8,7 +8,16 @@ type node_state = {
   mutable verdict : Runtime.verdict;
 }
 
-let run_with ?faults st params g ~terminals ~inputs strategy =
+(* What the prover hands each tree node, fixed per instance. *)
+type role =
+  | Leaf of Vec.t  (** a terminal leaf: sends its own fingerprint *)
+  | Root of Vec.t  (** the root terminal: tests its own fingerprint *)
+  | Internal of Vec.t  (** a non-terminal: the prover's pair, one state *)
+
+(* Payloads are bare fingerprint registers, as in the path backend. *)
+let injector env = Fault_env.injector ~corrupt:(Fault_env.apply_qnoise env) env
+
+let prepare params g ~terminals ~inputs strategy =
   let fp =
     Fingerprint.standard ~seed:params.Eq_tree.seed ~n:params.Eq_tree.n
   in
@@ -25,43 +34,42 @@ let run_with ?faults st params g ~terminals ~inputs strategy =
   in
   (* materialize the tree as its own network *)
   let size = Spanning_tree.size tr in
+  let parent = Array.init size (Spanning_tree.parent tr) in
   let tree_g = Graph.create size in
-  for v = 0 to size - 1 do
-    match Spanning_tree.parent tr v with
-    | Some p -> Graph.add_edge tree_g v p
-    | None -> ()
-  done;
+  let child_count = Array.make size 0 in
+  Array.iteri
+    (fun v -> function
+      | Some p ->
+          Graph.add_edge tree_g v p;
+          child_count.(p) <- child_count.(p) + 1
+      | None -> ())
+    parent;
   let root = Spanning_tree.root tr in
-  let child_count =
-    let c = Array.make size 0 in
-    for v = 0 to size - 1 do
-      match Spanning_tree.parent tr v with
-      | Some p -> c.(p) <- c.(p) + 1
-      | None -> ()
-    done;
-    c
+  let role =
+    Array.init size (fun v ->
+        match Spanning_tree.terminal_of tr v with
+        | Some i when v <> root -> Leaf states.(i)
+        | Some _ -> Root states.(0)
+        | None -> Internal (internal_state v))
   in
-  let program =
+  let program st =
     {
       Runtime.init =
         (fun v ->
-          match Spanning_tree.terminal_of tr v with
-          | Some i when v <> root ->
-              (* terminal leaf: sends its own fingerprint, tests nothing *)
-              { outgoing = Some states.(i); kept = None; verdict = Accept }
-          | Some _ ->
-              (* the root terminal tests its own fingerprint *)
-              { outgoing = None; kept = Some states.(0); verdict = Accept }
-          | None ->
-              let s = internal_state v in
-              let a, b = (Vec.copy s, Vec.copy s) in
-              let kept, out = if Random.State.bool st then (a, b) else (b, a) in
-              { outgoing = Some out; kept = Some kept; verdict = Accept });
+          match role.(v) with
+          | Leaf s -> { outgoing = Some s; kept = None; verdict = Accept }
+          | Root s -> { outgoing = None; kept = Some s; verdict = Accept }
+          | Internal s ->
+              (* the local coin symmetrizing the prover's pair; both
+                 halves are the same state, so it decides nothing here
+                 but is still drawn from the verifier's coins *)
+              ignore (Random.State.bool st : bool);
+              { outgoing = Some s; kept = Some s; verdict = Accept });
       round =
         (fun ~round ~id state ~inbox ->
           match round with
           | 1 -> (
-              match (state.outgoing, Spanning_tree.parent tr id) with
+              match (state.outgoing, parent.(id)) with
               | Some reg, Some p -> (state, [ (p, reg) ])
               | _ -> (state, []))
           | 2 ->
@@ -92,17 +100,17 @@ let run_with ?faults st params g ~terminals ~inputs strategy =
       finish = (fun ~id:_ state -> state.verdict);
     }
   in
-  Runtime.run ?faults tree_g ~rounds:2 program
+  fun ?faults st ->
+    Runtime.run ?faults:(Option.map injector faults) tree_g ~rounds:2
+      (program st)
 
 let run_once st params g ~terminals ~inputs strategy =
-  let verdicts, stats = run_with st params g ~terminals ~inputs strategy in
-  (Runtime.global_verdict verdicts = Runtime.Accept, stats)
+  Runtime.accepted (prepare params g ~terminals ~inputs strategy st)
 
-(* Payloads are bare fingerprint registers, as in the path backend. *)
-let run_faulty st (env : Fault_env.t) params g ~terminals ~inputs strategy =
-  let faults = Fault_env.injector ~corrupt:(Fault_env.apply_qnoise env) env in
-  run_with ~faults st params g ~terminals ~inputs strategy
+let run_faulty st env params g ~terminals ~inputs strategy =
+  prepare params g ~terminals ~inputs strategy ~faults:env st
 
 let estimate_acceptance st ~trials params g ~terminals ~inputs strategy =
+  let run = prepare params g ~terminals ~inputs strategy in
   Runtime.estimate_acceptance ~st ~trials (fun st ->
-      fst (run_once st params g ~terminals ~inputs strategy))
+      fst (Runtime.accepted (run st)))

@@ -29,8 +29,9 @@ type t = {
    value and independent of cell evaluation order. *)
 let sample ~seed ~turns ~side ~trials params x y prover =
   let st = Random.State.make [| seed; 0x7a15; turns; side |] in
+  let run = Runtime_ieq.prepare params x y prover in
   Runtime.estimate_acceptance ~st ~trials (fun st ->
-      fst (Runtime_ieq.run_once st params x y prover))
+      fst (Runtime.accepted (run st)))
 
 let measure_variant ~seed ~n ~r ~trials turns =
   Qdp_obs.Prof.section (Printf.sprintf "turns.ieq%d" turns) @@ fun () ->

@@ -96,9 +96,10 @@ let case_measure cfg ~ids:(pi, ki, xi, side, ci) kind p
   let proto_st = Random.State.make [| cfg.seed; pi; ki; xi; side; ci; 0 |] in
   let fault_st = Random.State.make [| cfg.seed; pi; ki; xi; side; ci; 1 |] in
   let env = Plan.env ?turn:cfg.turn kind ~strength:p ~st:fault_st in
+  let run = case.fc_prepare () in
   let hits = ref 0 and errors = ref 0 and injected = ref 0 in
   for _ = 1 to cfg.trials do
-    let o = Plan.execute cfg.recovery (fun () -> case.fc_run proto_st env) in
+    let o = Plan.execute cfg.recovery (fun () -> run proto_st env) in
     if o.accepted then incr hits;
     errors := !errors + o.protocol_errors;
     injected := !injected + o.injected

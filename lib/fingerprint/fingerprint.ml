@@ -80,8 +80,10 @@ let overlap fp x y =
   in
   1. -. (float_of_int d /. float_of_int m)
 
-let accept_prob fp y psi =
-  if Vec.dim psi <> dim fp then invalid_arg "Fingerprint.accept_prob: dim";
-  Cx.norm2 (Vec.dot (state fp y) psi)
+let accept_prob fp y =
+  let hy = state fp y in
+  fun psi ->
+    if Vec.dim psi <> dim fp then invalid_arg "Fingerprint.accept_prob: dim";
+    Cx.norm2 (Vec.dot hy psi)
 
 let bot_state fp = Vec.basis (dim fp) 1

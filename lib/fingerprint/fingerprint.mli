@@ -59,7 +59,9 @@ val state : t -> Gf2.t -> Vec.t
 val overlap : t -> Gf2.t -> Gf2.t -> float
 
 (** [accept_prob fp y psi] is the probability that Bob's measurement
-    for input [y] accepts the (unit) state [psi]: [|<h_y|psi>|^2]. *)
+    for input [y] accepts the (unit) state [psi]: [|<h_y|psi>|^2].
+    The partial application [accept_prob fp y] encodes [|h_y>] once,
+    so a measurement reused across trials pays for it once. *)
 val accept_prob : t -> Gf2.t -> Vec.t -> float
 
 (** [bot_state fp] is the distinguished [|bot>] state the GT protocol

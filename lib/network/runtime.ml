@@ -3,6 +3,8 @@ type verdict = Accept | Reject
 let global_verdict vs =
   if Array.for_all (fun v -> v = Accept) vs then Accept else Reject
 
+let accepted (verdicts, x) = (global_verdict verdicts = Accept, x)
+
 exception Protocol_error of { node : int; round : int; turn : int; target : int }
 
 exception Deadline_exceeded of { elapsed_s : float; limit_s : float }

@@ -36,6 +36,10 @@ type verdict = Accept | Reject
     acceptance criterion of distributed verification. *)
 val global_verdict : verdict array -> verdict
 
+(** [accepted (verdicts, stats)] reduces a run's raw per-node verdicts
+    to [global_verdict verdicts = Accept], keeping the stats. *)
+val accepted : verdict array * 'a -> bool * 'a
+
 (** Raised when a node (or the prover) addresses a message to a
     non-neighbour (resp. a non-existent node): a bug in the node
     program (or byzantine behaviour a fault harness wants to observe),

@@ -54,11 +54,10 @@ let fault_case_rate ~seed ~fault ~side ~ci (case : Registry.fault_case) =
           ~strength:fault.Request.f_strength ~st:fault_st
     | None -> assert false (* validated by Request.of_json *)
   in
+  let run = case.Registry.fc_prepare () in
   let hits = ref 0 and errors = ref 0 and injected = ref 0 in
   for _ = 1 to fault.Request.f_trials do
-    let o =
-      Plan.execute Plan.Reject_on_timeout (fun () -> case.Registry.fc_run proto_st env)
-    in
+    let o = Plan.execute Plan.Reject_on_timeout (fun () -> run proto_st env) in
     if o.Plan.accepted then incr hits;
     errors := !errors + o.Plan.protocol_errors;
     injected := !injected + o.Plan.injected

@@ -104,6 +104,55 @@ let test_no_network_backends () =
       | Some _ -> Alcotest.failf "%s unexpectedly has a network backend" id)
     [ "relay"; "dqcma"; "seteq"; "rv"; "ham" ]
 
+(* The staging contract: on every demo instance and strategy, a
+   network closure prepared once and reused for [k] trials gives the
+   same verdicts as a fresh preparation per trial from the same coins,
+   and leaves the coin stream at the same position. *)
+let test_prepared_once (Registry.Entry e) () =
+  let k = 50 in
+  match e.network with
+  | None -> ()
+  | Some mk ->
+      let spec = e.demo_fix small_spec in
+      let p = e.protocol spec in
+      let network = mk spec in
+      let yes, no = e.demo (Registry.context_of spec) in
+      List.iter
+        (fun (label, inst) ->
+          let provers =
+            (match p.Dqma.honest inst with
+            | Some h -> [ ("honest", h) ]
+            | None -> [])
+            @ p.Dqma.attacks inst
+          in
+          List.iteri
+            (fun i (name, prover) ->
+              let reused = Random.State.make [| 0x57a9; i |] in
+              let fresh = Random.State.make [| 0x57a9; i |] in
+              let run = network inst prover in
+              let once = Array.init k (fun _ -> run reused) in
+              let each = Array.init k (fun _ -> network inst prover fresh) in
+              let what =
+                Printf.sprintf "%s/%s %s" e.meta.Registry.id label name
+              in
+              Alcotest.(check (array bool)) (what ^ ": verdicts") each once;
+              Alcotest.(check int)
+                (what ^ ": coin stream position")
+                (Random.State.bits fresh) (Random.State.bits reused))
+            provers)
+        [ ("yes", yes); ("no", no) ]
+
+let staging_cases =
+  List.filter_map
+    (fun entry ->
+      let info = Registry.info entry in
+      if info.Registry.info_network then
+        Some
+          (Alcotest.test_case info.Registry.info_id `Quick
+             (test_prepared_once entry))
+      else None)
+    (Registry.all ())
+
 let () =
   Alcotest.run "cross_validate"
     [
@@ -125,4 +174,5 @@ let () =
           Alcotest.test_case "obs counters" `Quick test_obs_counters;
           Alcotest.test_case "no-network entries" `Quick test_no_network_backends;
         ] );
+      ("prepared once", staging_cases);
     ]

@@ -312,8 +312,51 @@ let prop_crash_of_leaf_neutral =
           stats.Runtime.down = [ 0 ] && v_clean = v_crash)
         (suite.Registry.fs_yes @ suite.Registry.fs_no))
 
+(* Exact binomial tails for X ~ Bin(n, p): [binomial_le] is
+   P(X <= k) and [binomial_ge] is P(X >= k). *)
+let binomial_pmf ~n ~p k =
+  if p <= 0. then if k = 0 then 1. else 0.
+  else if p >= 1. then if k = n then 1. else 0.
+  else begin
+    let log_choose = ref 0. in
+    for i = 1 to k do
+      log_choose :=
+        !log_choose +. log (float_of_int (n - k + i)) -. log (float_of_int i)
+    done;
+    exp
+      (!log_choose
+      +. (float_of_int k *. log p)
+      +. (float_of_int (n - k) *. Float.log1p (-.p)))
+  end
+
+let binomial_sum ~n ~p lo hi =
+  let acc = ref 0. in
+  for k = lo to hi do
+    acc := !acc +. binomial_pmf ~n ~p k
+  done;
+  !acc
+
+let binomial_le ~n ~p k = binomial_sum ~n ~p 0 k
+let binomial_ge ~n ~p k = binomial_sum ~n ~p k n
+
+(* The two-sided tail of z = 5, the level every sampled check here
+   uses. *)
+let z5_level = Float.erfc (5. /. Float.sqrt 2.)
+
+(* [p] lies in the exact (Clopper-Pearson) interval of [hits] out of
+   [trials] at two-sided level [z5_level]: neither tail at [p] is
+   rarer than half the level. *)
+let clopper_pearson_covers ~hits ~trials p =
+  binomial_le ~n:trials ~p hits >= z5_level /. 2.
+  && binomial_ge ~n:trials ~p hits >= z5_level /. 2.
+
 (* Completeness under crash noise decays linearly with the crash
-   probability: accept rate ~ 1 - p under strict recovery. *)
+   probability: the plan crashes one victim node with probability p,
+   and under strict recovery a run accepts exactly when nothing was
+   injected, so the accept count is Bin(trials, 1 - p).  The count is
+   checked against 1 - p with the exact binomial interval: at small p
+   the normal-approximation (Wilson) interval covers far less than
+   its nominal level. *)
 let prop_crash_completeness_tracks_prob =
   QCheck.Test.make ~name:"crash completeness tracks 1 - p" ~count:6
     (QCheck.int_bound 800) (fun p1000 ->
@@ -326,17 +369,66 @@ let prop_crash_completeness_tracks_prob =
         Plan.env Plan.Crash ~strength
           ~st:(Random.State.make [| 41; p1000; 1 |])
       in
-      let hits = ref 0 in
+      let run = case.Registry.fc_prepare () in
+      let hits = ref 0 and accounted = ref true in
       for _ = 1 to trials do
         let o =
-          Plan.execute Plan.Reject_on_timeout (fun () ->
-              case.Registry.fc_run proto_st env)
+          Plan.execute Plan.Reject_on_timeout (fun () -> run proto_st env)
         in
+        if o.Plan.accepted <> (o.Plan.injected = 0) then accounted := false;
         if o.Plan.accepted then incr hits
       done;
-      let iv = Runtime.wilson ~hits:!hits ~trials () in
-      iv.Runtime.lower <= 1. -. strength +. 1e-9
-      && 1. -. strength <= iv.Runtime.upper +. 1e-9)
+      !accounted
+      && clopper_pearson_covers ~hits:!hits ~trials (1. -. strength))
+
+(* --- the staging contract --- *)
+
+(* Every case of every fault suite, prepared once and run [k] times,
+   must match a fresh preparation per trial — verdicts and stats,
+   fault tallies included — from identically seeded protocol and
+   fault streams, and leave both streams at the same position. *)
+let test_prepared_once kind () =
+  let k = 50 in
+  let outcome run st env =
+    match run st env with
+    | r -> Ok r
+    | exception Runtime.Protocol_error _ -> Error ()
+  in
+  let cases = ref 0 in
+  List.iter
+    (fun entry ->
+      match Registry.fault_suite small_spec entry with
+      | None -> ()
+      | Some suite ->
+          List.iteri
+            (fun ci (case : Registry.fault_case) ->
+              incr cases;
+              let streams () =
+                let fault_st = Random.State.make [| 51; ci; 1 |] in
+                ( Random.State.make [| 51; ci |],
+                  fault_st,
+                  Plan.env kind ~strength:0.3 ~st:fault_st )
+              in
+              let st1, fst1, env1 = streams () in
+              let st2, fst2, env2 = streams () in
+              let run = case.Registry.fc_prepare () in
+              let once = Array.init k (fun _ -> outcome run st1 env1) in
+              let each =
+                Array.init k (fun _ ->
+                    outcome (case.Registry.fc_prepare ()) st2 env2)
+              in
+              let label =
+                Printf.sprintf "%s %s under %s" suite.Registry.fs_id
+                  case.Registry.fc_strategy (Plan.name kind)
+              in
+              Alcotest.(check bool) (label ^ ": same runs") true (once = each);
+              Alcotest.(check (pair int int))
+                (label ^ ": same stream positions")
+                (Random.State.bits st2, Random.State.bits fst2)
+                (Random.State.bits st1, Random.State.bits fst1))
+            (suite.Registry.fs_yes @ suite.Registry.fs_no))
+    (Registry.all ());
+  Alcotest.(check bool) "some cases covered" true (!cases > 0)
 
 let qcheck = List.map QCheck_alcotest.to_alcotest
 
@@ -383,4 +475,11 @@ let () =
             prop_crash_of_leaf_neutral;
             prop_crash_completeness_tracks_prob;
           ] );
+      ( "staging",
+        [
+          Alcotest.test_case "prepared once under drop" `Quick
+            (test_prepared_once Plan.Drop);
+          Alcotest.test_case "prepared once under depolarize" `Quick
+            (test_prepared_once Plan.Depolarize);
+        ] );
     ]

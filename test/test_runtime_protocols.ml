@@ -78,6 +78,37 @@ let test_runtime_gt_index_mismatch_caught () =
     Alcotest.(check bool) "mismatched indices always rejected" false ok
   done
 
+(* A claimed index outside [0, n) has no prefix to fingerprint: the
+   node holding it rejects instead of raising, matching the closed
+   form, which scores such a claim 0.  Claimed at every node, and at
+   one middle node only (its right neighbour then hears nothing). *)
+let test_runtime_gt_out_of_range_index () =
+  let n = 16 and r = 5 in
+  let params = Gt.make ~repetitions:1 ~seed:24 ~n ~r () in
+  let x, y = gt_yes_pair rng n in
+  let honest = Runtime_gt.honest x y in
+  let witness = honest.Runtime_gt.node_index 0 in
+  let st = Random.State.make [| 4 |] in
+  List.iter
+    (fun bad ->
+      Alcotest.(check (float 0.)) (Printf.sprintf "closed form at %d" bad) 0.
+        (Gt.single_round_accept params x y
+           { Gt.index = bad; eq_strategy = Strategy.All_left });
+      List.iter
+        (fun (label, node_index) ->
+          let ok, _ =
+            Runtime_gt.run_once st params x y
+              { honest with Runtime_gt.node_index }
+          in
+          Alcotest.(check bool)
+            (Printf.sprintf "index %d claimed %s rejected" bad label)
+            false ok)
+        [
+          ("everywhere", fun _ -> bad);
+          ("at v_2", fun j -> if j = 2 then bad else witness);
+        ])
+    [ -1; n; n + 3 ]
+
 (* --- classical dMA baseline --- *)
 
 let test_dma_honest_equal () =
@@ -203,6 +234,8 @@ let () =
           Alcotest.test_case "converges" `Quick test_runtime_gt_converges;
           Alcotest.test_case "index mismatch caught" `Quick
             test_runtime_gt_index_mismatch_caught;
+          Alcotest.test_case "out-of-range index rejected" `Quick
+            test_runtime_gt_out_of_range_index;
         ] );
       ( "runtime_dma",
         [
