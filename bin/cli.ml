@@ -27,8 +27,8 @@ let jobs_arg =
     & opt (some int) None
     & info [ "j"; "jobs" ] ~docv:"N"
         ~doc:
-          "Worker domains for the parallel regions (default: $(b,QDP_JOBS) \
-           or the machine's recommended domain count; 1 = fully sequential). \
+          "Worker domains for the sharded grids (default: $(b,QDP_JOBS) or \
+           the machine's recommended domain count; 1 = fully sequential). \
            Results are byte-identical at every value.")
 
 let profile_arg =

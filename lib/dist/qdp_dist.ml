@@ -650,13 +650,10 @@ let coordinator ~label ~n ~(f : int -> 'r) nworkers : 'r array =
    run on pool domains. *)
 let region_depth = Atomic.make 0
 
-let in_process ~n f =
-  Qdp_par.parallel_map_array ~chunk:1 f (Array.init n (fun i -> i))
-
 (* Worker processes were configured but this region cannot fork: run
    it in-process and say so. *)
 let fallback ~label ~n f =
-  let r = in_process ~n f in
+  let r = Qdp_par.map n f in
   Metrics.incr c_fallbacks;
   last_report_ref :=
     Some
@@ -685,7 +682,7 @@ let map_shards ?(label = "shards") ~n f =
     Fun.protect
       ~finally:(fun () -> Atomic.decr region_depth)
       (fun () ->
-        if w = 0 || n = 1 || not outermost then in_process ~n f
+        if w = 0 || n = 1 || not outermost then Qdp_par.map n f
         else if Qdp_par.pool_started () then fallback ~label ~n f
         else
           Qdp_obs.Trace.with_span ("dist/" ^ label) (fun () ->

@@ -4,8 +4,8 @@
     Every grid in the engines — attack-candidate scores, fault-sweep
     points, cross-validation strategies, Monte-Carlo trial chunks —
     runs through {!map_shards} or {!monte_carlo_hits}; nothing outside
-    [lib/dist] and the dense kernels in [lib/linalg] calls [Qdp_par]
-    directly.  {!map_shards} picks the execution:
+    [lib/dist] calls [Qdp_par] directly.  {!map_shards} picks the
+    execution:
 
     - [workers () > 0], outermost region, [n > 1], domain pool not yet
       started: fork worker processes.  The coordinator forks
@@ -17,8 +17,8 @@
       worker that crashes, hangs past the shard deadline, or returns a
       corrupt frame is killed and replaced; a shard that exhausts its
       attempt budget is computed in-process.
-    - otherwise: [Qdp_par.parallel_map_array ~chunk:1] over the same
-      indices, on the domain pool.
+    - otherwise: [Qdp_par.map] over the same indices, one pool task
+      per shard.
 
     A {e fallback} is the one case where processes were asked for and
     could not be used: an outermost region with [workers () > 0] and

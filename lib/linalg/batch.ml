@@ -130,18 +130,14 @@ let apply_into m ~src ~dst =
   if src.count <> dst.count then
     invalid_arg "Batch.apply_into: column count mismatch";
   let macs = Mat.macs3 (Mat.rows m) (Mat.cols m) src.count in
-  let par = Mat.par_profitable ~macs in
   Qdp_obs.Prof.section "batch.apply_into" @@ fun () ->
-  Qdp_obs.Calib.sample ~kernel:"batch.apply_into" ~macs ~path:(Mat.path_tag par)
-  @@ fun () ->
+  Qdp_obs.Calib.sample ~kernel:"batch.apply_into" ~macs @@ fun () ->
   let n = src.count in
   let mr = Mat.raw_re m and mi = Mat.raw_im m in
   let sr = src.re and si = src.im in
   let dr = dst.re and di = dst.im in
   let cols = Mat.cols m in
-  (* Each output row is written by exactly one task and accumulated in
-     ascending [j] — identical floats on either dispatch path. *)
-  let row i =
+  for i = 0 to dst.dim - 1 do
     let drow = i * n in
     fill_row_zero dst i;
     let mrow = i * cols in
@@ -156,12 +152,7 @@ let apply_into m ~src ~dst =
         done
       end
     done
-  in
-  if par then Qdp_par.parallel_for 0 dst.dim row
-  else
-    for i = 0 to dst.dim - 1 do
-      row i
-    done
+  done
 
 let is_real b =
   let ok = ref true in
@@ -171,20 +162,17 @@ let is_real b =
   done;
   !ok
 
-(* Tile width of the Gram kernel: each task owns [gram_tile] output
+(* Tile width of the Gram kernel: each tile owns [gram_tile] output
    rows and streams the whole batch once, so the per-cell accumulation
-   runs over the vector index in ascending order whatever the tile
-   owner — bit-identical at every job count. *)
+   runs over the vector index in ascending order. *)
 let gram_tile = 32
 
 let gram a =
   let n = a.count and d = a.dim in
   (* computed upper triangle only: d MACs per (i, j <= i) cell *)
   let macs = Mat.macs2 d n *. float_of_int (n + 1) /. 2. in
-  let par = Mat.par_profitable ~macs:(Mat.macs3 d n n) in
   Qdp_obs.Prof.section "batch.gram" @@ fun () ->
-  Qdp_obs.Calib.sample ~kernel:"batch.gram" ~macs ~path:(Mat.path_tag par)
-  @@ fun () ->
+  Qdp_obs.Calib.sample ~kernel:"batch.gram" ~macs @@ fun () ->
   let g = Mat.create n n in
   let gr = Mat.raw_re g and gi = Mat.raw_im g in
   let ar = a.re and ai = a.im in
@@ -252,11 +240,9 @@ let gram a =
         done
       done
   in
-  if par then Qdp_par.parallel_for 0 tiles tile
-  else
-    for t = 0 to tiles - 1 do
-      tile t
-    done;
+  for t = 0 to tiles - 1 do
+    tile t
+  done;
   (* Hermitian mirror: the strict lower triangle is the conjugate of
      the computed upper triangle. *)
   for i = 0 to n - 1 do

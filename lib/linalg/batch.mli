@@ -63,10 +63,8 @@ val accumulate_row : t -> int -> t -> int -> unit
 (** [apply_into m ~src ~dst] overwrites [dst] with [m] applied to every
     column of [src] — a GEMM over the batch that allocates nothing, so
     pipelines can ping-pong between two reusable buffers.  [src] and
-    [dst] must be distinct batches.  Goes row-parallel when
-    [Mat.par_profitable] holds for its [rows * cols * count] MACs;
-    each output row has a single writer and a fixed accumulation
-    order, so the floats are identical either way.
+    [dst] must be distinct batches.  Runs sequentially; each output
+    row accumulates in a fixed order.
     @raise Invalid_argument on shape or column-count mismatch. *)
 val apply_into : Mat.t -> src:t -> dst:t -> unit
 
@@ -79,10 +77,8 @@ val is_real : t -> bool
     equals [Vec.dot (col a i) (col a j)].  Only the upper triangle is
     accumulated (half the multiply-accumulates) and mirrored; the
     accumulation per entry runs over the vector index in ascending
-    order, and parallel tiles own disjoint output rows, so the result
-    is bit-identical at every [--jobs] value.  Goes tile-parallel when
-    [Mat.par_profitable] holds for [dim * count{^2}] MACs (the full
-    product, not the half that is computed). *)
+    order, in 32-row output tiles that each stream the batch once.
+    Runs sequentially. *)
 val gram : t -> Mat.t
 
 (** Direct access to the underlying storage (entry [(g, c)] at

@@ -86,30 +86,20 @@ let scale z a =
   m
 
 (* Float MACs: products of up to four dimensions in native ints can
-   wrap negative for huge requests and silently defeat the cutoff. *)
+   wrap negative for huge requests. *)
 let macs2 a b = float_of_int a *. float_of_int b
 let macs3 a b c = macs2 a b *. float_of_int c
 let macs4 a b c d = macs3 a b c *. float_of_int d
 
-let par_mac_cutoff = 1 lsl 16
-
-let par_profitable ~macs =
-  macs >= float_of_int (par_mac_cutoff * Qdp_par.effective_jobs ())
-
-(* The Calib path tag records what actually executes: a parallel
-   decision on a one-core clamp still runs sequentially. *)
-let path_tag par = if par && Qdp_par.effective_jobs () > 1 then "par" else "seq"
-
 let mul a b =
   if a.cols <> b.rows then invalid_arg "Mat.mul: shape mismatch";
   let macs = macs3 a.rows a.cols b.cols in
-  let par = par_profitable ~macs in
-  Qdp_obs.Calib.sample ~kernel:"mat.mul" ~macs ~path:(path_tag par) @@ fun () ->
+  Qdp_obs.Calib.sample ~kernel:"mat.mul" ~macs @@ fun () ->
   let m = create a.rows b.cols in
   let are = a.re and aim = a.im and bre = b.re and bim = b.im in
   let mre = m.re and mim = m.im in
   let acols = a.cols and bcols = b.cols in
-  let row i =
+  for i = 0 to a.rows - 1 do
     let abase = i * acols and obase = i * bcols in
     for k = 0 to acols - 1 do
       let ar = uget are (abase + k) and ai = uget aim (abase + k) in
@@ -123,12 +113,7 @@ let mul a b =
         done
       end
     done
-  in
-  if par then Qdp_par.parallel_for 0 a.rows row
-  else
-    for i = 0 to a.rows - 1 do
-      row i
-    done;
+  done;
   m
 
 let apply_into m v ~dst =
@@ -169,14 +154,12 @@ let trace m =
 
 let tensor a b =
   let macs = macs4 a.rows a.cols b.rows b.cols in
-  let par = par_profitable ~macs in
-  Qdp_obs.Calib.sample ~kernel:"mat.tensor" ~macs ~path:(path_tag par)
-  @@ fun () ->
+  Qdp_obs.Calib.sample ~kernel:"mat.tensor" ~macs @@ fun () ->
   let m = create (a.rows * b.rows) (a.cols * b.cols) in
   let are = a.re and aim = a.im and bre = b.re and bim = b.im in
   let mre = m.re and mim = m.im in
   let mcols = m.cols in
-  let row_block ia =
+  for ia = 0 to a.rows - 1 do
     for ja = 0 to a.cols - 1 do
       let ar = uget are ((ia * a.cols) + ja) and ai = uget aim ((ia * a.cols) + ja) in
       if ar <> 0. || ai <> 0. then
@@ -190,12 +173,7 @@ let tensor a b =
           done
         done
     done
-  in
-  if par then Qdp_par.parallel_for 0 a.rows row_block
-  else
-    for ia = 0 to a.rows - 1 do
-      row_block ia
-    done;
+  done;
   m
 
 let tensor_list = function

@@ -42,40 +42,18 @@ val sub : t -> t -> t
 val scale : Cx.t -> t -> t
 
 (** Every dense kernel ([mul], [tensor], [Batch.apply_into],
-    [Batch.gram]) decides sequential vs row-parallel by one static
-    rule, {!par_profitable}.  Parallel slices own disjoint output rows
-    and keep the per-cell accumulation order, so the floats are
-    bit-identical at any job count either side of the cutoff. *)
+    [Batch.gram]) runs sequentially on the calling domain: the
+    parallel work in qdp is in its grids ([Qdp_dist]), not inside one
+    matrix product. *)
 
-(** Overflow-safe MAC estimates: dense-kernel MAC counts are products
-    of up to four dimensions, which can wrap native ints long before
-    they overflow floats ([macs4] of [2{^16}] on every axis is exactly
-    [2{^64}]). *)
+(** Overflow-safe MAC estimates for {!Qdp_obs.Calib} samples:
+    dense-kernel MAC counts are products of up to four dimensions,
+    which can wrap native ints long before they overflow floats
+    ([macs4] of [2{^16}] on every axis is exactly [2{^64}]). *)
 val macs2 : int -> int -> float
 
 val macs3 : int -> int -> int -> float
 val macs4 : int -> int -> int -> int -> float
-
-(** Parallelism threshold per effective worker, in scalar
-    multiply-accumulates (2{^16}): below it the pool's scheduling
-    overhead beats the arithmetic and the kernel stays on the calling
-    domain. *)
-val par_mac_cutoff : int
-
-(** [par_profitable ~macs] is the dispatch decision for a dense kernel
-    of [macs] multiply-accumulates: true when every {e effective}
-    worker ([Qdp_par.effective_jobs]) would get at least
-    {!par_mac_cutoff} MACs of arithmetic, i.e.
-    [macs >= par_mac_cutoff * effective_jobs].  A grid too small to
-    amortize fan-out over the actual pool stays sequential — same
-    floats either way. *)
-val par_profitable : macs:float -> bool
-
-(** [path_tag par] is the {!Qdp_obs.Calib} path label for a dispatch
-    decision: ["par"] only when the decision is parallel {e and} the
-    effective pool has more than one domain (a clamped pool runs the
-    sequential loop whatever was decided). *)
-val path_tag : bool -> string
 
 (** [mul a b] is the matrix product. *)
 val mul : t -> t -> t

@@ -1,5 +1,5 @@
 (* Kernel calibration sampling: per-call (MAC-count, seconds,
-   allocated-words, dispatch-path) observations for the dense kernels,
+   allocated-words) observations for the dense kernels,
    exported to BENCH_calib.json.  Shares the profiler switch discipline: its own
    atomic on/off flag, one branch per call while disabled.
 
@@ -15,7 +15,6 @@ type sample = {
   s_seconds : float;
   s_minor_words : float;
   s_major_words : float;
-  s_path : string;  (* "seq" | "par": the dispatch path that actually ran *)
 }
 
 type kernel_view = {
@@ -42,7 +41,7 @@ type kstat = {
 let max_samples = 512
 
 let dummy_sample =
-  { s_macs = 0.; s_seconds = 0.; s_minor_words = 0.; s_major_words = 0.; s_path = "seq" }
+  { s_macs = 0.; s_seconds = 0.; s_minor_words = 0.; s_major_words = 0. }
 
 let enabled_flag = Atomic.make false
 let on () = Atomic.get enabled_flag
@@ -69,7 +68,7 @@ let reset () =
   Hashtbl.reset table;
   order := []
 
-let sample ~kernel ~macs ?(path = "seq") f =
+let sample ~kernel ~macs f =
   if not (on ()) then f ()
   else begin
     let g0 = Gc.quick_stat () in
@@ -111,7 +110,6 @@ let sample ~kernel ~macs ?(path = "seq") f =
           s_seconds = dt;
           s_minor_words = minor;
           s_major_words = major;
-          s_path = path;
         };
       k.next <- (k.next + 1) mod max_samples;
       if k.kept < max_samples then k.kept <- k.kept + 1
@@ -150,11 +148,10 @@ let kernels () =
 
 let json_of_sample s =
   Printf.sprintf
-    "{\"macs\":%s,\"seconds\":%s,\"minor_words\":%s,\"major_words\":%s,\"path\":%s}"
+    "{\"macs\":%s,\"seconds\":%s,\"minor_words\":%s,\"major_words\":%s}"
     (Json.float s.s_macs) (Json.float s.s_seconds)
     (Json.float s.s_minor_words)
     (Json.float s.s_major_words)
-    (Json.str s.s_path)
 
 let to_json () =
   let buf = Buffer.create 1024 in

@@ -1,10 +1,10 @@
 (** Kernel calibration sampling for the dense kernels.
 
     {!sample} wraps one kernel invocation and records its nominal MAC
-    count together with measured wall seconds, GC-allocation words
-    (minor/major, calling domain only) and the dispatch path that ran
-    (["seq"] or ["par"]).  Per-kernel totals and a tail window of the
-    {e most recent} {!max_samples} raw samples are exported by
+    count together with measured wall seconds and GC-allocation words
+    (minor/major, calling domain only; the kernels run sequentially on
+    it).  Per-kernel totals and a tail window of the {e most recent}
+    {!max_samples} raw samples are exported by
     {!to_json}/{!write_json} as [BENCH_calib.json] — a tail window
     rather than a head capture, so the samples show steady-state calls
     instead of the cold-start prefix.
@@ -17,7 +17,6 @@ type sample = {
   s_seconds : float;
   s_minor_words : float;
   s_major_words : float;
-  s_path : string;  (** ["seq"] or ["par"] — the path that actually ran *)
 }
 
 type kernel_view = {
@@ -37,13 +36,11 @@ val max_samples : int
 val on : unit -> bool
 val set_enabled : bool -> unit
 
-(** [sample ~kernel ~macs ?path f] runs [f] and records one
-    observation for [kernel].  [macs] is the nominal
-    multiply-accumulate count of the call (complex MACs for the dense
-    kernels); [path] (default ["seq"]) tags which dispatch path
-    executed, so the two paths can be priced separately.
-    Exception-safe; when the switch is off this is exactly [f ()]. *)
-val sample : kernel:string -> macs:float -> ?path:string -> (unit -> 'a) -> 'a
+(** [sample ~kernel ~macs f] runs [f] and records one observation for
+    [kernel].  [macs] is the nominal multiply-accumulate count of the
+    call (complex MACs for the dense kernels).  Exception-safe; when
+    the switch is off this is exactly [f ()]. *)
+val sample : kernel:string -> macs:float -> (unit -> 'a) -> 'a
 
 (** Per-kernel views in first-seen order. *)
 val kernels : unit -> kernel_view list

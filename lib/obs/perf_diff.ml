@@ -1,8 +1,7 @@
 (* Noise-aware comparison of two performance artifacts.  Understands
-   the four JSON shapes the repo exports — BENCH_perf.json (groups +
-   kernels), BENCH_calib.json (per-kernel calibration),
-   BENCH_obs.json (metrics snapshot with *.seconds histograms) and
-   BENCH_model.json (the removed kernel cost model's fits) — and
+   the three JSON shapes the repo exports — BENCH_perf.json (groups +
+   kernels), BENCH_calib.json (per-kernel calibration) and
+   BENCH_obs.json (metrics snapshot with *.seconds histograms) — and
    reduces each to a flat list of (key, group, value, seconds)
    metrics.  The comparator then applies a per-group relative
    threshold and a min-runtime floor: measurements too small to time
@@ -147,56 +146,18 @@ let of_obs j =
       | _ -> None)
     metrics
 
-(* BENCH_model.json: the fitted per-path marginal cost (b, seconds
-   per MAC) of every kernel as ns_per_mac, floored on the total
-   measured seconds behind the fit.  Intercepts and crossovers are
-   derived quantities — diffing the slopes catches the same
-   regressions without double-counting. *)
-let of_model j =
-  let items =
-    match Json.member "cost_model" j with
-    | Some v -> Json.to_list v
-    | None -> []
-  in
-  List.concat_map
-    (fun item ->
-      match str_field item "kernel" with
-      | None -> []
-      | Some k ->
-          List.filter_map
-            (fun path ->
-              match Json.member path item with
-              | None -> None
-              | Some fit -> (
-                  match
-                    (num_field fit "b_s_per_mac", num_field fit "total_s")
-                  with
-                  | Some b, Some s when b > 0. ->
-                      Some
-                        {
-                          m_key = k ^ "." ^ path ^ ".ns_per_mac";
-                          m_group = k;
-                          m_value = 1e9 *. b;
-                          m_seconds = s;
-                        }
-                  | _ -> None))
-            [ "seq"; "par" ])
-    items
-
 let metrics_of_json j =
   match
     (Json.member "groups" j, Json.member "calibration" j,
-     Json.member "metrics_snapshot" j, Json.member "cost_model" j)
+     Json.member "metrics_snapshot" j)
   with
-  | Some _, _, _, _ -> of_perf j
-  | None, Some _, _, _ -> of_calib j
-  | None, None, Some _, _ -> of_obs j
-  | None, None, None, Some _ -> of_model j
-  | None, None, None, None ->
+  | Some _, _, _ -> of_perf j
+  | None, Some _, _ -> of_calib j
+  | None, None, Some _ -> of_obs j
+  | None, None, None ->
       failwith
         "unrecognized performance artifact: expected one of the \
-         BENCH_perf.json / BENCH_calib.json / BENCH_obs.json / \
-         BENCH_model.json shapes"
+         BENCH_perf.json / BENCH_calib.json / BENCH_obs.json shapes"
 
 let metrics_of_string s =
   match Json.parse s with

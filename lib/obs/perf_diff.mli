@@ -1,16 +1,13 @@
 (** Noise-aware comparison of two performance artifacts: the engine
     behind [qdp perf diff OLD.json NEW.json] and the CI perf gate.
 
-    Understands the four JSON shapes the repo exports and reduces
+    Understands the three JSON shapes the repo exports and reduces
     each to flat metrics:
     - [BENCH_perf.json] — every [*_s] timing field of every group and
       kernel entry;
     - [BENCH_calib.json] — [ns_per_mac] per calibrated kernel;
     - [BENCH_obs.json] — the mean of every [*.seconds] histogram in
-      the metrics snapshot;
-    - [BENCH_model.json] — the fitted marginal cost of each kernel's
-      seq/par path as [ns_per_mac] (artifacts of the removed kernel
-      cost model; still readable so old runs can be compared).
+      the metrics snapshot.
 
     A metric pair is {e below the floor} (never flagged) when both
     sides measured less than [min_seconds] of runtime; otherwise it is

@@ -53,8 +53,8 @@ let region_count = ref 0
 let stack_key = Domain.DLS.new_key (fun () -> ref ([] : string list))
 
 (* Depth of nested [region] calls on this domain: only the outermost
-   one contributes wall time, so nested parallel regions (an inner
-   parallel_for inside a pool task) are not double-counted. *)
+   one contributes wall time, so nested parallel regions (a shard
+   that runs its own grid on the pool) are not double-counted. *)
 let region_depth_key = Domain.DLS.new_key (fun () -> ref 0)
 
 let reset () =

@@ -30,15 +30,15 @@ let jobs () =
   end
 
 let set_jobs n =
-  if n < 1 then invalid_arg "Qdp_par.set_jobs: need at least one job";
+  if n < 1 then invalid_arg "Qdp_par: set_jobs needs at least one job";
   Atomic.set configured n
 
 (* -- effective parallelism ------------------------------------------ *)
 
 (* BENCH_perf showed the parallel paths losing up to 7x on a 1-core
    host at --jobs 4: every domain beyond the core count is pure
-   scheduling overhead, yet dispatch decisions honoured the requested
-   job count unconditionally.  [effective_jobs] clamps the budget to
+   scheduling overhead, yet the pool honoured the requested job count
+   unconditionally.  [effective_jobs] clamps the budget to
    the hardware so oversubscribed configurations degrade to the
    sequential path — byte-identical outputs, none of the domain
    machinery.  Tests that exercise pool semantics on small hosts opt
@@ -108,24 +108,23 @@ let () =
       Mutex.unlock lock;
       List.iter Domain.join ds)
 
-(* Runs every closure in [tasks], distributing all but the first over
-   the pool.  Re-raises the earliest (by task index) exception, with
-   its backtrace, once every task has finished. *)
-let run_tasks (tasks : (unit -> unit) array) =
-  let n = Array.length tasks in
-  if n = 0 then ()
-  else if n = 1 || effective_jobs () = 1 then Array.iter (fun t -> t ()) tasks
+(* One task per index, all but the first distributed over the pool.
+   Re-raises the earliest (by index) exception, with its backtrace,
+   once every task has finished. *)
+let map n f =
+  if n <= 1 || effective_jobs () = 1 then Array.init n f
   else begin
     Qdp_obs.Prof.region @@ fun () ->
     let remaining = Atomic.make n in
-    (* cell [i] is written by the domain running task [i] only; the
-       final read is ordered after all writes by [remaining]. *)
+    (* cells [i] are written by the domain running task [i] only; the
+       final reads are ordered after all writes by [remaining]. *)
+    let out = Array.make n None in
     let errors = Array.make n None in
-    let wrap i () =
+    let task i () =
       (* [Prof.task] charges the wall time of this unit of work to the
          busy total of whichever domain executes it — worker or
          helping caller — for the busy/idle split in profile reports. *)
-      (try Qdp_obs.Prof.task tasks.(i)
+      (try out.(i) <- Some (Qdp_obs.Prof.task (fun () -> f i))
        with e -> errors.(i) <- Some (e, Printexc.get_raw_backtrace ()));
       Atomic.decr remaining;
       Mutex.lock lock;
@@ -135,11 +134,11 @@ let run_tasks (tasks : (unit -> unit) array) =
     Mutex.lock lock;
     ensure_workers (min (effective_jobs ()) n - 1);
     for i = 1 to n - 1 do
-      Queue.push (wrap i) queue
+      Queue.push (task i) queue
     done;
     Condition.broadcast wake;
     Mutex.unlock lock;
-    wrap 0 ();
+    task 0 ();
     (* Help until the whole region is done.  The queue may hand us
        tasks from other (nested) regions — that is the point: a caller
        blocked on an inner region keeps the pool busy. *)
@@ -161,49 +160,6 @@ let run_tasks (tasks : (unit -> unit) array) =
     Array.iter
       (function
         | Some (e, bt) -> Printexc.raise_with_backtrace e bt | None -> ())
-      errors
-  end
-
-(* -- chunked loops ------------------------------------------------- *)
-
-let chunk_size ?chunk n =
-  match chunk with
-  | Some c when c >= 1 -> c
-  | Some _ -> invalid_arg "Qdp_par: chunk must be >= 1"
-  | None ->
-      let j = effective_jobs () in
-      max 1 ((n + (4 * j) - 1) / (4 * j))
-
-let parallel_for ?chunk lo hi body =
-  let n = hi - lo in
-  if n <= 0 then ()
-  else if effective_jobs () = 1 then
-    for i = lo to hi - 1 do
-      body i
-    done
-  else begin
-    let c = chunk_size ?chunk n in
-    let nchunks = (n + c - 1) / c in
-    if nchunks <= 1 then
-      for i = lo to hi - 1 do
-        body i
-      done
-    else
-      run_tasks
-        (Array.init nchunks (fun k () ->
-             let b = lo + (k * c) in
-             let e = min hi (b + c) in
-             for i = b to e - 1 do
-               body i
-             done))
-  end
-
-let parallel_map_array ?chunk f arr =
-  let n = Array.length arr in
-  if n = 0 then [||]
-  else if effective_jobs () = 1 || n = 1 then Array.map f arr
-  else begin
-    let out = Array.make n None in
-    parallel_for ?chunk 0 n (fun i -> out.(i) <- Some (f arr.(i)));
-    Array.map (function Some v -> v | None -> assert false) out
+      errors;
+    Array.map Option.get out
   end

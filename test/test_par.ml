@@ -21,30 +21,27 @@ let with_jobs n f =
 
 (* --- pool semantics --- *)
 
-let test_for_covers () =
+let test_map_covers () =
   with_jobs 4 (fun () ->
       let hits = Array.make 1000 0 in
-      Par.parallel_for 0 1000 (fun i -> hits.(i) <- hits.(i) + 1);
+      let out =
+        Par.map 1000 (fun i ->
+            hits.(i) <- hits.(i) + 1;
+            (2 * i) + 1)
+      in
       Alcotest.(check bool)
         "each index ran exactly once" true
         (Array.for_all (( = ) 1) hits);
-      Par.parallel_for 7 3 (fun _ -> Alcotest.fail "empty range ran");
-      let sum = Atomic.make 0 in
-      Par.parallel_for ~chunk:3 0 100 (fun i ->
-          ignore (Atomic.fetch_and_add sum i));
-      Alcotest.(check int) "custom chunk covers" 4950 (Atomic.get sum))
+      Alcotest.(check (array int))
+        "map matches Array.init"
+        (Array.init 1000 (fun i -> (2 * i) + 1))
+        out)
 
-let test_map () =
+let test_map_empty () =
   with_jobs 4 (fun () ->
-      let arr = Array.init 257 (fun i -> i) in
-      let doubled = Par.parallel_map_array (fun x -> (2 * x) + 1) arr in
       Alcotest.(check (array int))
-        "map matches sequential"
-        (Array.map (fun x -> (2 * x) + 1) arr)
-        doubled;
-      Alcotest.(check (array int))
-        "empty array" [||]
-        (Par.parallel_map_array (fun x -> x) [||]))
+        "empty range" [||]
+        (Par.map 0 (fun _ -> Alcotest.fail "empty range ran")))
 
 exception Boom of int
 
@@ -52,32 +49,27 @@ let test_exception_propagates () =
   with_jobs 4 (fun () ->
       let ran_after = ref false in
       (try
-         Par.parallel_for ~chunk:1 0 64 (fun i ->
-             if i = 13 then raise (Boom i));
+         ignore (Par.map 64 (fun i -> if i >= 13 then raise (Boom i)));
          Alcotest.fail "exception swallowed"
        with Boom 13 -> ran_after := true);
-      Alcotest.(check bool) "Boom 13 re-raised" true !ran_after;
+      Alcotest.(check bool) "earliest Boom 13 re-raised" true !ran_after;
       (* the pool must stay usable after a failed region *)
       let sum = Atomic.make 0 in
-      Par.parallel_for 0 100 (fun _ -> ignore (Atomic.fetch_and_add sum 1));
+      ignore (Par.map 100 (fun _ -> Atomic.fetch_and_add sum 1));
       Alcotest.(check int) "pool alive after exception" 100 (Atomic.get sum))
 
 let test_nested () =
   with_jobs 4 (fun () ->
-      let grid = Array.make_matrix 16 16 0 in
-      Par.parallel_for ~chunk:1 0 16 (fun i ->
-          Par.parallel_for ~chunk:1 0 16 (fun j -> grid.(i).(j) <- (i * 16) + j));
-      let ok = ref true in
-      Array.iteri
-        (fun i row ->
-          Array.iteri (fun j v -> if v <> (i * 16) + j then ok := false) row)
-        grid;
-      Alcotest.(check bool) "nested regions complete" true !ok)
+      let grid = Par.map 16 (fun i -> Par.map 16 (fun j -> (i * 16) + j)) in
+      Alcotest.(check (array (array int)))
+        "nested regions complete"
+        (Array.init 16 (fun i -> Array.init 16 (fun j -> (i * 16) + j)))
+        grid)
 
 let test_jobs_one_sequential () =
   with_jobs 1 (fun () ->
       let trace = ref [] in
-      Par.parallel_for 0 20 (fun i -> trace := i :: !trace);
+      ignore (Par.map 20 (fun i -> trace := i :: !trace));
       Alcotest.(check (list int))
         "jobs=1 runs in order on the caller"
         (List.init 20 (fun i -> 19 - i))
@@ -85,7 +77,7 @@ let test_jobs_one_sequential () =
 
 let test_set_jobs_invalid () =
   Alcotest.check_raises "set_jobs 0 rejected"
-    (Invalid_argument "Qdp_par.set_jobs: need at least one job") (fun () ->
+    (Invalid_argument "Qdp_par: set_jobs needs at least one job") (fun () ->
       Par.set_jobs 0)
 
 (* --- deterministic Monte-Carlo --- *)
@@ -206,8 +198,8 @@ let test_fingerprint_hammer () =
 let () =
   Alcotest.run "par"
     [ ( "pool",
-        [ Alcotest.test_case "parallel_for coverage" `Quick test_for_covers;
-          Alcotest.test_case "parallel_map_array" `Quick test_map;
+        [ Alcotest.test_case "map coverage" `Quick test_map_covers;
+          Alcotest.test_case "map empty range" `Quick test_map_empty;
           Alcotest.test_case "exceptions propagate" `Quick
             test_exception_propagates;
           Alcotest.test_case "nested regions" `Quick test_nested;
