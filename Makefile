@@ -18,14 +18,12 @@ bench:
 	dune exec bench/main.exe
 
 # Sequential-vs-parallel wall-clock per workload group; honors
-# QDP_JOBS for the parallel column.  Writes BENCH_perf.json (and an
-# empty-shell BENCH_calib.json; use `make profile` to populate it).
+# QDP_JOBS for the parallel column.  Writes BENCH_perf.json.
 perf:
 	dune exec bench/main.exe -- perf
 
-# perf plus attribution: per-group flat profile / tree / domain
-# busy-idle split on stderr, kernel calibration samples in
-# BENCH_calib.json.
+# perf plus attribution: per-group flat profile (with the dense-kernel
+# call counts) / tree / domain busy-idle split on stderr.
 profile:
 	dune exec bench/main.exe -- perf --profile
 

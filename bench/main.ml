@@ -513,8 +513,6 @@ let dump_perf () =
       ("attack_search", 10, perf_attack_search);
       ("fault_sweep", 1, perf_fault_sweep);
       ("monte_carlo_xval", 1, perf_monte_carlo);
-      ("mat_mul", 16, perf_mat_mul);
-      ("gram_batch", 4, perf_gram_attack);
     ]
   in
   let time_at jobs reps work =
@@ -539,8 +537,8 @@ let dump_perf () =
   (* Kernel A/B: both columns sequential (jobs = 1), so the speedup is
      purely the batched rewrite (blocked Gram, fused projections,
      blit-based register moves) against the pre-change per-proof
-     kernel — the parallel win on top of it is the gram_batch group
-     above. *)
+     kernel.  The dense kernels always run sequentially, so they have
+     no sequential-vs-parallel group. *)
   let kernels =
     let batched = time_at 1 1 perf_gram_attack in
     let naive =
@@ -601,10 +599,7 @@ let dump_perf () =
         work ();
         Format.eprintf "--- profile: %s (jobs = %d) ---@\n%a@?" name
           jobs_target Qdp_obs.Prof.report ())
-      groups;
-  (* Always emitted: an empty calibration list when sampling is off,
-     per-kernel MAC/seconds/allocation samples under --profile. *)
-  Qdp_obs.Calib.write_json "BENCH_calib.json"
+      groups
 
 (* -- seq vs domains vs processes (BENCH_dist.json) ------------------
 
@@ -715,10 +710,8 @@ let dump_dist () =
   end
 
 let () =
-  if Array.exists (String.equal "--profile") Sys.argv then begin
-    Qdp_obs.Prof.set_enabled true;
-    Qdp_obs.Calib.set_enabled true
-  end
+  if Array.exists (String.equal "--profile") Sys.argv then
+    Qdp_obs.Prof.set_enabled true
 
 let () =
   if Array.length Sys.argv > 1 && Sys.argv.(1) = "dist" then (

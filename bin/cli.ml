@@ -36,18 +36,10 @@ let profile_arg =
     value & flag
     & info [ "profile" ]
         ~doc:
-          "Enable the scoped profiler and kernel calibration sampling; on \
-           exit print the flat profile, the caller->callee attribution tree \
-           and the per-domain busy/idle split to stderr.")
-
-let calib_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "calib" ] ~docv:"FILE"
-        ~doc:
-          "Enable calibration sampling (implied by $(b,--profile)) and write \
-           the per-kernel (MACs, seconds, words) samples to $(docv) on exit.")
+          "Enable the scoped profiler; on exit print the flat profile (with \
+           the call count of every section, dense kernels included), the \
+           caller->callee attribution tree and the per-domain busy/idle \
+           split to stderr.")
 
 let progress_arg =
   Arg.(
@@ -119,13 +111,12 @@ type obs_opts = {
   metrics : string option;
   trace : string option;
   profile : bool;
-  calib : string option;
   progress : float option;
   progress_json : bool;
 }
 
 let obs_term =
-  let mk jobs workers timeout chaos metrics trace profile calib progress
+  let mk jobs workers timeout chaos metrics trace profile progress
       progress_json () =
     {
       jobs;
@@ -135,19 +126,18 @@ let obs_term =
       metrics;
       trace;
       profile;
-      calib;
       progress;
       progress_json;
     }
   in
   Term.(
     const mk $ jobs_arg $ workers_arg $ timeout_arg $ chaos_arg $ metrics_arg
-    $ trace_arg $ profile_arg $ calib_arg $ progress_arg $ progress_json_arg
+    $ trace_arg $ profile_arg $ progress_arg $ progress_json_arg
     $ model_arg)
 
-(* Run [f] under a root span ["<tool>.<cmd>"] and a profile section
-   [cmd]; enable the switches the flags ask for and dump the requested
-   outputs afterwards (also on exceptions).  Everything lands on
+(* Run [f] under a root section [cmd]; enable the switches the flags
+   ask for and dump the requested outputs afterwards (also on
+   exceptions).  Everything lands on
    stderr or in files: stdout stays byte-identical whatever is on. *)
 let with_obs ~tool ~cmd o f =
   Option.iter Qdp_par.set_jobs o.jobs;
@@ -159,10 +149,7 @@ let with_obs ~tool ~cmd o f =
     o.timeout;
   Option.iter Qdp_dist.set_chaos o.chaos;
   if o.metrics <> None || o.trace <> None then Qdp_obs.set_enabled true;
-  if o.profile || o.calib <> None then begin
-    Qdp_obs.Prof.set_enabled true;
-    Qdp_obs.Calib.set_enabled true
-  end;
+  if o.profile then Qdp_obs.Prof.set_enabled true;
   (match o.progress with
   | Some interval ->
       Qdp_obs.Progress.configure ~interval_s:interval
@@ -184,9 +171,6 @@ let with_obs ~tool ~cmd o f =
        Qdp_obs.Metrics.write_json file (Qdp_obs.Metrics.snapshot ()))
       o.metrics;
     Option.iter (dump "trace" Qdp_obs.Trace.write_jsonl) o.trace;
-    Option.iter (dump "calibration" Qdp_obs.Calib.write_json) o.calib;
     if o.profile then Format.eprintf "%a@?" Qdp_obs.Prof.report ()
   in
-  Fun.protect ~finally:finish (fun () ->
-      Qdp_obs.Trace.with_span (tool ^ "." ^ cmd) @@ fun () ->
-      Qdp_obs.Prof.section cmd f)
+  Fun.protect ~finally:finish (fun () -> Qdp_obs.section cmd f)

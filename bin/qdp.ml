@@ -484,7 +484,7 @@ let turns_cmd =
     Term.(const run $ seed_arg $ n_arg $ r_arg $ trials_arg $ out_arg $ Cli.obs_term)
 
 (* qdp perf diff OLD NEW — the noise-aware comparator over the
-   BENCH_perf / BENCH_calib / BENCH_obs artifacts; exit 1 on
+   BENCH_perf / BENCH_obs artifacts; exit 1 on
    regression (the CI perf gate). *)
 let perf_cmd =
   let old_arg =
@@ -568,8 +568,8 @@ let perf_cmd =
     Cmd.v
       (Cmd.info "diff"
          ~doc:
-           "Compare two performance artifacts (BENCH_perf.json, \
-            BENCH_calib.json or BENCH_obs.json) with per-group noise \
+           "Compare two performance artifacts (BENCH_perf.json or \
+            BENCH_obs.json) with per-group noise \
             thresholds and a min-runtime floor; exit 1 when any metric \
             regresses.")
       Term.(

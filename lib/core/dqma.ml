@@ -38,7 +38,7 @@ let obs_spec_violations = Qdp_obs.Metrics.counter "dqma.spec_violations"
 
 let evaluate p inst =
   Qdp_obs.Metrics.incr obs_evaluations;
-  Qdp_obs.Trace.with_span "dqma.evaluate"
+  Qdp_obs.section "dqma.evaluate"
     ~attrs:(fun () ->
       [ ("protocol", Qdp_obs.Trace.Str p.name);
         ("model", Qdp_obs.Trace.Str (Format.asprintf "%a" pp_model p.model));
@@ -393,10 +393,9 @@ type check = {
 }
 
 let cross_validate ?(trials = 2000) ?(z = 5.) ~st ~network p inst =
-  Qdp_obs.Trace.with_span "dqma.cross_validate"
+  Qdp_obs.section "cross_validate"
     ~attrs:(fun () -> [ ("protocol", Qdp_obs.Trace.Str p.name) ])
   @@ fun () ->
-  Qdp_obs.Prof.section "cross_validate" @@ fun () ->
   let provers =
     (match p.honest inst with Some h -> [ ("honest", h) ] | None -> [])
     @ p.attacks inst

@@ -21,8 +21,7 @@ let attack_candidate ~proto name p =
 
 let attack_search ~proto ?attrs f =
   Qdp_obs.Metrics.incr obs_searches;
-  Qdp_obs.Trace.with_span ?attrs (proto ^ ".attack_search") @@ fun () ->
-  Qdp_obs.Prof.section (proto ^ ".attack_search") f
+  Qdp_obs.section ?attrs (proto ^ ".attack_search") f
 
 (* Candidate grids are independent, so score them as one grid;
    the results are then replayed in list order through

@@ -113,7 +113,7 @@ let info ?(spec = default_spec) (Entry e) =
   }
 
 let evaluate_demo ?x ?y spec (Entry e) =
-  Qdp_obs.Prof.section e.meta.id @@ fun () ->
+  Qdp_obs.section e.meta.id @@ fun () ->
   let p = e.protocol spec in
   let yes, no = e.demo (context_of ?x ?y spec) in
   (p.Dqma.name, Dqma.evaluate p yes, Dqma.evaluate p no, p.Dqma.costs yes)
@@ -122,7 +122,7 @@ let cross_validate_demo ?trials ~st spec (Entry e) =
   match e.network with
   | None -> None
   | Some mk ->
-      Qdp_obs.Prof.section e.meta.id @@ fun () ->
+      Qdp_obs.section e.meta.id @@ fun () ->
       let spec = e.demo_fix spec in
       let p = e.protocol spec in
       let network = mk spec in

@@ -27,7 +27,7 @@ let swap_accept a b =
 
 let perm_accept regs =
   Qdp_obs.Metrics.incr perm_calls;
-  Qdp_obs.Prof.section "perm_accept" @@ fun () ->
+  Qdp_obs.section "perm_accept" @@ fun () ->
   Qdp_obs.Metrics.time perm_seconds @@ fun () ->
   let arr = Array.of_list regs in
   let k = Array.length arr in
@@ -65,7 +65,7 @@ type path_instance = {
    transfer recursion computes the exact expectation. *)
 let path_accept inst =
   Qdp_obs.Metrics.incr path_calls;
-  Qdp_obs.Prof.section "path_accept" @@ fun () ->
+  Qdp_obs.section "path_accept" @@ fun () ->
   Qdp_obs.Metrics.time path_seconds @@ fun () ->
   let r = inst.length in
   if r < 1 then invalid_arg "Sim.path_accept: length >= 1";
@@ -129,7 +129,7 @@ let node_test inst kept sents =
 
 let tree_accept st inst =
   Qdp_obs.Metrics.incr tree_calls;
-  Qdp_obs.Prof.section "tree_accept" @@ fun () ->
+  Qdp_obs.section "tree_accept" @@ fun () ->
   Qdp_obs.Metrics.time tree_seconds @@ fun () ->
   let tr = inst.tree in
   let is_terminal v = Spanning_tree.terminal_of tr v <> None in
@@ -234,7 +234,7 @@ type down_tree_instance = {
 
 let down_tree_accept inst =
   Qdp_obs.Metrics.incr down_tree_calls;
-  Qdp_obs.Prof.section "down_tree_accept" @@ fun () ->
+  Qdp_obs.section "down_tree_accept" @@ fun () ->
   Qdp_obs.Metrics.time down_tree_seconds @@ fun () ->
   let tr = inst.dtree in
   let is_terminal v = Spanning_tree.terminal_of tr v <> None in

@@ -34,7 +34,7 @@ let sample ~seed ~turns ~side ~trials params x y prover =
       fst (Runtime.accepted (run st)))
 
 let measure_variant ~seed ~n ~r ~trials turns =
-  Qdp_obs.Prof.section (Printf.sprintf "turns.ieq%d" turns) @@ fun () ->
+  Qdp_obs.section (Printf.sprintf "turns.ieq%d" turns) @@ fun () ->
   let params = { Ieq.n; r; turns; repetitions = 1 } in
   let q = Ieq.field params in
   let base = Gf2.random (Random.State.make [| seed; 0xd9a |]) n in
@@ -74,8 +74,7 @@ let measure_variant ~seed ~n ~r ~trials turns =
   }
 
 let run ~seed ~n ~r ~trials () =
-  Qdp_obs.Trace.with_span "turns.experiment" @@ fun () ->
-  Qdp_obs.Prof.section "turns_experiment" @@ fun () ->
+  Qdp_obs.section "turns_experiment" @@ fun () ->
   {
     tx_seed = seed;
     tx_n = n;

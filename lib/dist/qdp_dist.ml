@@ -685,7 +685,11 @@ let map_shards ?(label = "shards") ~n f =
         if w = 0 || n = 1 || not outermost then Qdp_par.map n f
         else if Qdp_par.pool_started () then fallback ~label ~n f
         else
-          Qdp_obs.Trace.with_span ("dist/" ^ label) (fun () ->
+          (* labels such as "attack/eq" carry '/', which joins profile
+             paths: the section is "dist.attack.eq" *)
+          Qdp_obs.section
+            ("dist." ^ String.map (function '/' -> '.' | c -> c) label)
+            (fun () ->
               match coordinator ~label ~n ~f (min w n) with
               | r -> r
               | exception Failure _ when Qdp_par.pool_started () ->

@@ -160,10 +160,7 @@ let sweep_entry cfg ~pi entry =
   match Registry.fault_suite cfg.spec entry with
   | None -> None
   | Some suite ->
-      Qdp_obs.Trace.with_span "faults.protocol"
-        ~attrs:(fun () -> [ ("id", Qdp_obs.Trace.Str suite.fs_id) ])
-      @@ fun () ->
-      Qdp_obs.Prof.section suite.fs_id @@ fun () ->
+      Qdp_obs.section suite.fs_id @@ fun () ->
       let bound =
         List.fold_left (fun acc c -> Float.max acc c.Registry.fc_analytic) 0.
           suite.fs_no
@@ -238,8 +235,7 @@ let sweep_entry cfg ~pi entry =
         }
 
 let run cfg =
-  Qdp_obs.Trace.with_span "faults.sweep" @@ fun () ->
-  Qdp_obs.Prof.section "fault_sweep" @@ fun () ->
+  Qdp_obs.section "fault_sweep" @@ fun () ->
   let entries = Registry.all () in
   let selected pi entry =
     let id = (Registry.info entry).Registry.info_id in

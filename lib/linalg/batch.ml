@@ -129,9 +129,11 @@ let apply_into m ~src ~dst =
     invalid_arg "Batch.apply_into: shape mismatch";
   if src.count <> dst.count then
     invalid_arg "Batch.apply_into: column count mismatch";
-  let macs = Mat.macs3 (Mat.rows m) (Mat.cols m) src.count in
-  Qdp_obs.Prof.section "batch.apply_into" @@ fun () ->
-  Qdp_obs.Calib.sample ~kernel:"batch.apply_into" ~macs @@ fun () ->
+  Qdp_obs.section "batch.apply_into"
+    ~attrs:(fun () ->
+      let macs = Mat.macs3 (Mat.rows m) (Mat.cols m) src.count in
+      [ ("macs", Qdp_obs.Trace.Float macs) ])
+  @@ fun () ->
   let n = src.count in
   let mr = Mat.raw_re m and mi = Mat.raw_im m in
   let sr = src.re and si = src.im in
@@ -169,10 +171,12 @@ let gram_tile = 32
 
 let gram a =
   let n = a.count and d = a.dim in
-  (* computed upper triangle only: d MACs per (i, j <= i) cell *)
-  let macs = Mat.macs2 d n *. float_of_int (n + 1) /. 2. in
-  Qdp_obs.Prof.section "batch.gram" @@ fun () ->
-  Qdp_obs.Calib.sample ~kernel:"batch.gram" ~macs @@ fun () ->
+  Qdp_obs.section "batch.gram"
+    ~attrs:(fun () ->
+      (* computed upper triangle only: d MACs per (i, j <= i) cell *)
+      let macs = Mat.macs2 d n *. float_of_int (n + 1) /. 2. in
+      [ ("macs", Qdp_obs.Trace.Float macs) ])
+  @@ fun () ->
   let g = Mat.create n n in
   let gr = Mat.raw_re g and gi = Mat.raw_im g in
   let ar = a.re and ai = a.im in

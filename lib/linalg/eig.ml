@@ -78,7 +78,7 @@ let symmetric a0 =
    recover an orthonormal complex basis by greedy Gram-Schmidt over the
    embedded eigenvectors in spectral order. *)
 let hermitian m =
-  Qdp_obs.Prof.section "eig.hermitian" @@ fun () ->
+  Qdp_obs.section "eig.hermitian" @@ fun () ->
   Qdp_obs.Metrics.time hermitian_seconds @@ fun () ->
   let n = Mat.rows m in
   if n <> Mat.cols m then invalid_arg "Eig.hermitian: not square";
@@ -194,7 +194,7 @@ let lanczos_top m n =
   step 0
 
 let top_hermitian m =
-  Qdp_obs.Prof.section "eig.top" @@ fun () ->
+  Qdp_obs.section "eig.top" @@ fun () ->
   Qdp_obs.Metrics.time top_seconds @@ fun () ->
   let n = Mat.rows m in
   if n <> Mat.cols m then invalid_arg "Eig.top_hermitian: not square";

@@ -93,8 +93,10 @@ let macs4 a b c d = macs3 a b c *. float_of_int d
 
 let mul a b =
   if a.cols <> b.rows then invalid_arg "Mat.mul: shape mismatch";
-  let macs = macs3 a.rows a.cols b.cols in
-  Qdp_obs.Calib.sample ~kernel:"mat.mul" ~macs @@ fun () ->
+  Qdp_obs.section "mat.mul"
+    ~attrs:(fun () ->
+      [ ("macs", Qdp_obs.Trace.Float (macs3 a.rows a.cols b.cols)) ])
+  @@ fun () ->
   let m = create a.rows b.cols in
   let are = a.re and aim = a.im and bre = b.re and bim = b.im in
   let mre = m.re and mim = m.im in
@@ -153,8 +155,10 @@ let trace m =
   { Complex.re = !sr; im = !si }
 
 let tensor a b =
-  let macs = macs4 a.rows a.cols b.rows b.cols in
-  Qdp_obs.Calib.sample ~kernel:"mat.tensor" ~macs @@ fun () ->
+  Qdp_obs.section "mat.tensor"
+    ~attrs:(fun () ->
+      [ ("macs", Qdp_obs.Trace.Float (macs4 a.rows a.cols b.rows b.cols)) ])
+  @@ fun () ->
   let m = create (a.rows * b.rows) (a.cols * b.cols) in
   let are = a.re and aim = a.im and bre = b.re and bim = b.im in
   let mre = m.re and mim = m.im in

@@ -46,7 +46,8 @@ val scale : Cx.t -> t -> t
     parallel work in qdp is in its grids ([Qdp_dist]), not inside one
     matrix product. *)
 
-(** Overflow-safe MAC estimates for {!Qdp_obs.Calib} samples:
+(** Overflow-safe MAC estimates for the [macs] attribute of the
+    dense-kernel sections ({!Qdp_obs.section}):
     dense-kernel MAC counts are products of up to four dimensions,
     which can wrap native ints long before they overflow floats
     ([macs4] of [2{^16}] on every axis is exactly [2{^64}]). *)

@@ -171,12 +171,11 @@ let run_turns ?faults ?st ?deadline:deadline_opt g ~schedule ~prover program =
     else fun () -> ()
   in
   Qdp_obs.Metrics.incr obs_runs;
-  Qdp_obs.Trace.with_span "runtime.run"
+  Qdp_obs.section "runtime"
     ~attrs:(fun () -> [ ("nodes", Qdp_obs.Trace.Int n);
                         ("rounds", Qdp_obs.Trace.Int schedule_rounds);
                         ("turns", Qdp_obs.Trace.Int (List.length schedule)) ])
   @@ fun () ->
-  Qdp_obs.Prof.section "runtime" @@ fun () ->
   let obs_on = Qdp_obs.enabled () in
   let states = Array.init n program.tp_init in
   let inboxes = Array.make n [] in
@@ -202,10 +201,6 @@ let run_turns ?faults ?st ?deadline:deadline_opt g ~schedule ~prover program =
   let run_round ~turn ~inj ~coins r =
     check_deadline ();
     let before = !total in
-    Qdp_obs.Trace.with_span "runtime.round"
-      ~attrs:(fun () -> [ ("round", Qdp_obs.Trace.Int r);
-                          ("messages", Qdp_obs.Trace.Int (!total - before)) ])
-    @@ fun () ->
     let outboxes = Array.make n [] in
     for u = 0 to n - 1 do
       if node_up ~round:r ~id:u then begin
@@ -367,7 +362,7 @@ let run_accepts g ~rounds program =
   global_verdict verdicts = Accept
 
 let estimate_acceptance ~st ~trials f =
-  Qdp_obs.Prof.section "estimate_acceptance" @@ fun () ->
+  Qdp_obs.section "estimate_acceptance" @@ fun () ->
   let hits = Qdp_dist.monte_carlo_hits ~label:"accept" ~st ~trials f in
   float_of_int hits /. float_of_int trials
 
@@ -403,6 +398,6 @@ let wilson ?(z = 5.) ~hits ~trials () =
   }
 
 let estimate_acceptance_ci ?z ~st ~trials f =
-  Qdp_obs.Prof.section "estimate_acceptance" @@ fun () ->
+  Qdp_obs.section "estimate_acceptance" @@ fun () ->
   let hits = Qdp_dist.monte_carlo_hits ~label:"accept" ~st ~trials f in
   wilson ?z ~hits ~trials ()

@@ -1,11 +1,10 @@
 (* Noise-aware comparison of two performance artifacts.  Understands
-   the three JSON shapes the repo exports — BENCH_perf.json (groups +
-   kernels), BENCH_calib.json (per-kernel calibration) and
-   BENCH_obs.json (metrics snapshot with *.seconds histograms) — and
-   reduces each to a flat list of (key, group, value, seconds)
-   metrics.  The comparator then applies a per-group relative
-   threshold and a min-runtime floor: measurements too small to time
-   reliably are never flagged, and a change only counts as a
+   the two JSON shapes the repo exports — BENCH_perf.json (groups +
+   kernels) and BENCH_obs.json (metrics snapshot with *.seconds
+   histograms) — and reduces each to a flat list of (key, group,
+   value, seconds) metrics.  The comparator then applies a per-group
+   relative threshold and a min-runtime floor: measurements too small
+   to time reliably are never flagged, and a change only counts as a
    regression/improvement when the new/old ratio leaves the
    [1/(1+t), 1+t] noise band. *)
 
@@ -14,7 +13,7 @@ type metric = {
   m_group : string;
   m_value : float;
   (* magnitude in seconds used for the min-runtime floor; for
-     ratio-style values (ns_per_mac, histogram means) this is the
+     ratio-style values (histogram means) this is the
      total measured seconds behind the value *)
   m_seconds : float;
 }
@@ -90,32 +89,6 @@ let of_perf j =
   of_items groups ~name_field:"group" ~prefix:""
   @ of_items kernels ~name_field:"kernel" ~prefix:"kernel."
 
-(* BENCH_calib.json: ns_per_mac per kernel, floored on the total
-   measured seconds behind it. *)
-let of_calib j =
-  let items =
-    match Json.member "calibration" j with
-    | Some v -> Json.to_list v
-    | None -> []
-  in
-  List.filter_map
-    (fun item ->
-      match
-        ( str_field item "kernel",
-          num_field item "ns_per_mac",
-          num_field item "total_seconds" )
-      with
-      | Some k, Some v, Some s when v > 0. ->
-          Some
-            {
-              m_key = k ^ ".ns_per_mac";
-              m_group = k;
-              m_value = v;
-              m_seconds = s;
-            }
-      | _ -> None)
-    items
-
 (* BENCH_obs.json: mean of every *.seconds histogram in the metrics
    snapshot, floored on the histogram sum. *)
 let of_obs j =
@@ -147,17 +120,13 @@ let of_obs j =
     metrics
 
 let metrics_of_json j =
-  match
-    (Json.member "groups" j, Json.member "calibration" j,
-     Json.member "metrics_snapshot" j)
-  with
-  | Some _, _, _ -> of_perf j
-  | None, Some _, _ -> of_calib j
-  | None, None, Some _ -> of_obs j
-  | None, None, None ->
+  match (Json.member "groups" j, Json.member "metrics_snapshot" j) with
+  | Some _, _ -> of_perf j
+  | None, Some _ -> of_obs j
+  | None, None ->
       failwith
-        "unrecognized performance artifact: expected one of the \
-         BENCH_perf.json / BENCH_calib.json / BENCH_obs.json shapes"
+        "unrecognized performance artifact: expected the BENCH_perf.json \
+         or BENCH_obs.json shape"
 
 let metrics_of_string s =
   match Json.parse s with

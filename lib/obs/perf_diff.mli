@@ -1,11 +1,10 @@
 (** Noise-aware comparison of two performance artifacts: the engine
     behind [qdp perf diff OLD.json NEW.json] and the CI perf gate.
 
-    Understands the three JSON shapes the repo exports and reduces
+    Understands the two JSON shapes the repo exports and reduces
     each to flat metrics:
     - [BENCH_perf.json] — every [*_s] timing field of every group and
       kernel entry;
-    - [BENCH_calib.json] — [ns_per_mac] per calibrated kernel;
     - [BENCH_obs.json] — the mean of every [*.seconds] histogram in
       the metrics snapshot.
 

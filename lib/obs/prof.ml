@@ -1,13 +1,14 @@
-(* Scoped profiler: nestable sections recording wall time and GC
-   allocation deltas, aggregated per section *path* (the "/"-joined
-   chain of enclosing section names on the current domain), plus
-   busy/idle accounting for the Qdp_par pool domains.  The profiler
-   has its own switch, independent of the metrics/trace switch, so
-   [--profile] can be combined freely with [--metrics]/[--trace];
-   every hook is a single atomic-load branch while disabled.
+(* Scoped profiler: wall time and GC allocation deltas of the timed
+   sections ([Qdp_obs.section]), aggregated per section *path* (the
+   "/"-joined chain of enclosing section names on the current domain),
+   plus busy/idle accounting for the Qdp_par pool domains.  The
+   profiler has its own switch, independent of the metrics/trace
+   switch, so [--profile] can be combined freely with
+   [--metrics]/[--trace]; every hook is a single atomic-load branch
+   while disabled.
 
-   Nesting is per domain, like Trace: a section entered inside a pool
-   task roots a new tree on that worker domain.  The caller-helps
+   Nesting is per domain: a section entered inside a pool task roots a
+   new tree on that worker domain.  The caller-helps
    scheduler means chunks executed by the submitting domain keep their
    full path prefix while chunks executed by workers appear as worker
    roots — both aggregate under their own path and the report shows
@@ -24,9 +25,8 @@ type agg = {
 
 type dom = { mutable busy_s : float; mutable tasks : int }
 
-let enabled_flag = Atomic.make false
-let on () = Atomic.get enabled_flag
-let set_enabled b = Atomic.set enabled_flag b
+let on = Control.prof_on
+let set_enabled = Control.set_prof
 
 let lock = Mutex.create ()
 
@@ -49,9 +49,6 @@ let dom_order : int list ref = ref []
 let region_wall = ref 0.
 let region_count = ref 0
 
-(* Stack of enclosing section paths, innermost first; domain-local. *)
-let stack_key = Domain.DLS.new_key (fun () -> ref ([] : string list))
-
 (* Depth of nested [region] calls on this domain: only the outermost
    one contributes wall time, so nested parallel regions (a shard
    that runs its own grid on the pool) are not double-counted. *)
@@ -64,8 +61,7 @@ let reset () =
       Hashtbl.reset domains;
       dom_order := [];
       region_wall := 0.;
-      region_count := 0);
-  Domain.DLS.get stack_key := []
+      region_count := 0)
 
 (* Called with [lock] held. *)
 let agg_of path =
@@ -86,52 +82,20 @@ let agg_of path =
       order := path :: !order;
       a
 
-let section name f =
-  if not (on ()) then f ()
-  else begin
-    let stack = Domain.DLS.get stack_key in
-    let path =
-      match !stack with [] -> name | parent :: _ -> parent ^ "/" ^ name
-    in
-    stack := path :: !stack;
-    let g0 = Gc.quick_stat () in
-    let t0 = Clock.now () in
-    let finish () =
-      let dt = Float.max 0. (Clock.now () -. t0) in
-      let g1 = Gc.quick_stat () in
-      (match !stack with
-      | p :: rest when String.equal p path -> stack := rest
-      | other ->
-          (* an exception unwound past intermediate sections; pop down
-             to below our frame rather than corrupting the stack *)
-          let rec pop = function
-            | p :: rest when not (String.equal p path) -> pop rest
-            | _ :: rest -> rest
-            | [] -> []
-          in
-          stack := pop other);
-      locked @@ fun () ->
-      let a = agg_of path in
-      a.calls <- a.calls + 1;
-      a.wall_s <- a.wall_s +. dt;
-      a.minor_words <-
-        a.minor_words +. Float.max 0. (g1.Gc.minor_words -. g0.Gc.minor_words);
-      a.major_words <-
-        a.major_words +. Float.max 0. (g1.Gc.major_words -. g0.Gc.major_words);
-      a.promoted_words <-
-        a.promoted_words
-        +. Float.max 0. (g1.Gc.promoted_words -. g0.Gc.promoted_words);
-      a.compactions <-
-        a.compactions + max 0 (g1.Gc.compactions - g0.Gc.compactions)
-    in
-    match f () with
-    | v ->
-        finish ();
-        v
-    | exception e ->
-        finish ();
-        raise e
-  end
+let record path ~wall_s (g0 : Gc.stat) =
+  let g1 = Gc.quick_stat () in
+  locked @@ fun () ->
+  let a = agg_of path in
+  a.calls <- a.calls + 1;
+  a.wall_s <- a.wall_s +. wall_s;
+  a.minor_words <-
+    a.minor_words +. Float.max 0. (g1.Gc.minor_words -. g0.Gc.minor_words);
+  a.major_words <-
+    a.major_words +. Float.max 0. (g1.Gc.major_words -. g0.Gc.major_words);
+  a.promoted_words <-
+    a.promoted_words
+    +. Float.max 0. (g1.Gc.promoted_words -. g0.Gc.promoted_words);
+  a.compactions <- a.compactions + max 0 (g1.Gc.compactions - g0.Gc.compactions)
 
 (* --- pool hooks (called from Qdp_par) --- *)
 

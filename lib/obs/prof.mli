@@ -1,28 +1,29 @@
 (** Scoped profiler: section timing, GC-allocation attribution and
     pool busy/idle accounting.
 
-    {!section} opens a nestable region; on exit the wall-clock delta
-    and the [Gc.quick_stat] deltas (minor/major/promoted words,
-    compactions) are added to the aggregate for the region's {e path}
-    — the "/"-joined chain of enclosing section names on the current
-    domain, e.g. ["xval/eq/runtime/perm_accept"].  Aggregates are
-    queried as a flat profile ({!flat}), a caller→callee attribution
-    tree ({!tree}), or raw entries ({!entries}).
+    [Qdp_obs.section] is the only way to open a profiled region; on
+    exit the wall-clock delta and the [Gc.quick_stat] deltas
+    (minor/major/promoted words, compactions) are added to the
+    aggregate for the region's {e path} — the "/"-joined chain of
+    enclosing section names on the current domain, e.g.
+    ["xval/eq/runtime/perm_accept"].  Aggregates are queried as a flat
+    profile ({!flat}), a caller→callee attribution tree ({!tree}), or
+    raw entries ({!entries}).
 
     The profiler has its own switch ({!set_enabled}, the [--profile]
-    flag), independent of the metrics/trace switch: while disabled
-    every hook costs a single atomic load and records nothing.
+    flag), independent of the metrics/trace switch: while every sink
+    is off a section costs a single atomic load and records nothing.
 
-    Like [Trace], nesting is per domain: a section entered inside a
-    [Qdp_par] pool task roots a new tree on that worker domain, while
-    chunks the submitting domain executes itself (the pool is
-    caller-helps) keep their full path prefix.  GC deltas are
-    per-domain too — a section covering a parallel region attributes
-    only the calling domain's allocation to itself; allocation on the
-    workers lands in the sections those workers open.
+    Nesting is per domain: a section entered inside a [Qdp_par] pool
+    task roots a new tree on that worker domain, while chunks the
+    submitting domain executes itself (the pool is caller-helps) keep
+    their full path prefix.  GC deltas are per-domain too — a section
+    covering a parallel region attributes only the calling domain's
+    allocation to itself; allocation on the workers lands in the
+    sections those workers open.
 
     The recording hooks themselves allocate a small constant amount
-    per call (two [Gc.quick_stat] records and a closure) which is
+    per call (two [Gc.quick_stat] records and a frame) which is
     included in the enclosing section's delta; it is ~100 words per
     call and does not grow with the work profiled. *)
 
@@ -31,11 +32,10 @@ val on : unit -> bool
 
 val set_enabled : bool -> unit
 
-(** [section name f] runs [f] inside a profiled region called [name]
-    (which should not contain ['/']).  Exception-safe: the region is
-    recorded even when [f] raises.  When the profiler is off this is
-    exactly [f ()]. *)
-val section : string -> (unit -> 'a) -> 'a
+(** [record path ~wall_s g0] adds one closed section to [path]'s
+    aggregate: [wall_s] seconds, and the GC deltas from the entry
+    snapshot [g0] to now.  The sink side of [Qdp_obs.section]. *)
+val record : string -> wall_s:float -> Gc.stat -> unit
 
 (** {2 Pool hooks}
 

@@ -2,20 +2,23 @@
 
     {!Metrics} is a process-global registry of named counters, gauges
     and log-scale histograms with snapshot/reset and JSON + CSV
-    exporters.  {!Trace} records nested wall-clock spans into a ring
-    buffer with a pretty-printer and JSONL export.
+    exporters.  {!section} is the one way to time a region: it records
+    a span into the {!Trace} ring buffer (pretty-printer, JSONL
+    export) while {!set_enabled}[ true] ([--metrics]/[--trace]), and
+    adds to the {!Prof} aggregate while {!Prof.set_enabled}[ true]
+    ([--profile]).
 
-    Everything is inert until {!set_enabled}[ true]: updates cost one
-    branch and closures passed to the recording functions are never
+    Everything is inert until a switch is on: updates cost one branch
+    and closures passed to the recording functions are never
     evaluated, so instrumented hot paths are unaffected in normal
     runs.
 
-    Both sinks are safe to feed from concurrent domains (the engines
-    parallelize over [Qdp_par]): counters and span ids are atomic,
-    multi-field updates and the trace ring take an internal mutex, and
-    span nesting is tracked per domain — a span opened on a pool
-    worker is a root span of that worker, not a child of whatever the
-    submitting domain had open. *)
+    All sinks are safe to feed from concurrent domains (the grids run
+    on [Qdp_par] pool domains): counters and span ids are atomic,
+    multi-field updates, the trace ring and the profile table take an
+    internal mutex, and section nesting is tracked per domain — a
+    section opened on a pool worker is a root of that worker, not a
+    child of whatever the submitting domain had open. *)
 
 (** The one wall clock every elapsed-time measurement must read.
     {!Clock.now} is [Unix.gettimeofday] behind a monotonic clamp: a
@@ -47,9 +50,6 @@ module Prof = Prof
 (** Live progress heartbeats for long grids ([--progress]). *)
 module Progress = Progress
 
-(** Kernel calibration sampling ([BENCH_calib.json]). *)
-module Calib = Calib
-
 (** Noise-aware comparator behind [qdp perf diff] and the CI perf
     gate. *)
 module Perf_diff = Perf_diff
@@ -66,3 +66,16 @@ val set_enabled : bool -> unit
 (** [with_enabled b f] runs [f] with the switch forced to [b],
     restoring the previous state afterwards (exception-safe). *)
 val with_enabled : bool -> (unit -> 'a) -> 'a
+
+(** [section ?attrs name f] runs [f] as one timed region named [name]
+    (which should not contain ['/']), opened on this domain's section
+    stack and closed on return or exception (the exception is
+    re-raised).  It records into each sink whose switch is on:
+    - the trace ring, as a span whose parent and depth come from the
+      stack; [attrs] is evaluated once, on exit, and only then;
+    - the profile aggregate, under the path of the enclosing section
+      names joined by ["/"].
+
+    With every switch off it is exactly [f ()] after one atomic load. *)
+val section :
+  ?attrs:(unit -> (string * Trace.value) list) -> string -> (unit -> 'a) -> 'a

@@ -1,9 +1,9 @@
 (* Span tracing with a bounded ring-buffer sink.  A span records the
-   wall-clock interval of one dynamic region (an attack search, a
-   runtime round, a kernel call) together with nesting information and
-   key/value attributes.  Spans are recorded on exit, so in the buffer
-   children precede their parent; consumers reconstruct the tree from
-   [parent] ids or by sorting on start time. *)
+   wall-clock interval of one timed section (an attack search, a
+   runtime execution, a kernel call) together with nesting information
+   and key/value attributes.  Spans are recorded on exit, so in the
+   buffer children precede their parent; consumers reconstruct the
+   tree from [parent] ids or by sorting on start time. *)
 
 type value = Bool of bool | Int of int | Float of float | Str of string
 
@@ -26,10 +26,8 @@ let dropped_spans = ref 0
 
 (* Guards the ring state above ([epoch], [buf], [write], [stored],
    [dropped_spans]): spans complete concurrently on pool domains.  Ids
-   are allocated atomically outside the lock, and the open-span stack
-   is domain-local — nesting is a per-domain notion (a span opened on
-   a worker is a root of that worker's tree, not a child of whatever
-   the submitting domain had open). *)
+   are allocated atomically outside the lock; the open-section stack
+   that gives a span its parent and depth lives in [Qdp_obs.section]. *)
 let lock = Mutex.create ()
 
 let locked f =
@@ -43,7 +41,6 @@ let locked f =
       raise e
 
 let next_id = Atomic.make 0
-let stack_key = Domain.DLS.new_key (fun () -> ref ([] : int list))
 
 let clear () =
   locked @@ fun () ->
@@ -51,7 +48,6 @@ let clear () =
   write := 0;
   stored := 0;
   dropped_spans := 0;
-  Domain.DLS.get stack_key := [];
   epoch := Clock.now ()
 
 let set_capacity n =
@@ -61,14 +57,6 @@ let set_capacity n =
 
 let capacity () = locked (fun () -> Array.length !buf)
 let dropped () = locked (fun () -> !dropped_spans)
-
-let record sp =
-  locked @@ fun () ->
-  let b = !buf in
-  let n = Array.length b in
-  if !stored = n then incr dropped_spans else incr stored;
-  b.(!write) <- Some sp;
-  write := (!write + 1) mod n
 
 (* Oldest-first contents of the ring buffer; call with [lock] held. *)
 let contents_unlocked () =
@@ -87,39 +75,16 @@ let spans () = locked contents_unlocked
    pair. *)
 let snapshot () = locked (fun () -> (contents_unlocked (), !dropped_spans))
 
-let with_span ?attrs name f =
-  if not (Control.on ()) then f ()
-  else begin
-    let id = Atomic.fetch_and_add next_id 1 + 1 in
-    let stack = Domain.DLS.get stack_key in
-    let parent = match !stack with [] -> -1 | p :: _ -> p in
-    let depth = List.length !stack in
-    stack := id :: !stack;
-    let t0 = Clock.now () in
-    let finish () =
-      let dur = Float.max 0. (Clock.now () -. t0) in
-      (match !stack with
-      | s :: rest when s = id -> stack := rest
-      | other ->
-          (* an exception unwound past intermediate spans; drop down to
-             below our frame rather than corrupting the stack *)
-          let rec pop = function
-            | s :: rest when s <> id -> pop rest
-            | _ :: rest -> rest
-            | [] -> []
-          in
-          stack := pop other);
-      let attrs = match attrs with None -> [] | Some mk -> mk () in
-      record { id; parent; name; depth; start_s = t0 -. !epoch; dur_s = dur; attrs }
-    in
-    match f () with
-    | v ->
-        finish ();
-        v
-    | exception e ->
-        finish ();
-        raise e
-  end
+let fresh_id () = Atomic.fetch_and_add next_id 1 + 1
+
+let record ~id ~parent ~depth ~t0 ~dur_s ~attrs name =
+  locked @@ fun () ->
+  let b = !buf in
+  let n = Array.length b in
+  if !stored = n then incr dropped_spans else incr stored;
+  b.(!write) <-
+    Some { id; parent; name; depth; start_s = t0 -. !epoch; dur_s; attrs };
+  write := (!write + 1) mod n
 
 (* --- exporters --- *)
 

@@ -1,9 +1,8 @@
 (** Span tracing with a bounded ring-buffer sink.
 
-    [with_span name f] times the execution of [f ()] and records a
-    span carrying the wall-clock interval, the nesting depth and
-    parent span, and (lazily built) attributes.  When observability is
-    disabled it is exactly [f ()].  Spans are recorded on exit, so in
+    Spans are opened by [Qdp_obs.section]: each records the wall-clock
+    interval of one timed section, its nesting depth and parent span,
+    and (lazily built) attributes.  Spans are recorded on exit, so in
     buffer order children precede their parent; {!pp} and the JSONL
     export carry enough structure ([id]/[parent]/[depth]) to rebuild
     the tree. *)
@@ -20,11 +19,24 @@ type span = {
   attrs : (string * value) list;
 }
 
-(** [with_span ?attrs name f] runs [f] inside a span.  [attrs] is a
-    closure so attribute construction costs nothing when tracing is
-    off; it is evaluated once, on span exit.  Exceptions are recorded
-    and re-raised. *)
-val with_span : ?attrs:(unit -> (string * value) list) -> string -> (unit -> 'a) -> 'a
+(** {2 Recording} — the sink side of [Qdp_obs.section]. *)
+
+(** A fresh span id ([>= 1]), unique across domains. *)
+val fresh_id : unit -> int
+
+(** [record ~id ~parent ~depth ~t0 ~dur_s ~attrs name] stores one
+    closed span; [t0] is its absolute entry time ([Clock.now]). *)
+val record :
+  id:int ->
+  parent:int ->
+  depth:int ->
+  t0:float ->
+  dur_s:float ->
+  attrs:(string * value) list ->
+  string ->
+  unit
+
+(** {2 Reading} *)
 
 (** Oldest-first contents of the ring buffer. *)
 val spans : unit -> span list

@@ -122,7 +122,7 @@ let run (r : Request.t) : (string, string) result =
   Qdp_obs.Metrics.incr obs_evals;
   let t0 = Qdp_obs.Clock.now () in
   let result =
-    Qdp_obs.Prof.section "serve.eval"
+    Qdp_obs.section "serve.eval"
     @@ fun () ->
     match Registry.find r.Request.rq_protocol with
     | None -> Error (Printf.sprintf "unknown protocol %S" r.Request.rq_protocol)

@@ -212,7 +212,7 @@ let flush_session st s =
    response out to every waiter. *)
 let process_batch st =
   if not (Queue.is_empty st.queue) then begin
-    Qdp_obs.Prof.section "serve.batch" @@ fun () ->
+    Qdp_obs.section "serve.batch" @@ fun () ->
     let batch_results : (string, (string, string) result) Hashtbl.t =
       Hashtbl.create 8
     in

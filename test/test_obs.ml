@@ -1,14 +1,24 @@
 (* Tests for the Qdp_obs observability layer: counter/gauge/histogram
    arithmetic, snapshot/reset, span nesting and attribute round-trip
-   through the JSON exporters, a Runtime.run smoke test checking the
+   through the JSON exporters, the agreement of the trace and profile
+   sinks of one timed section, a Runtime.run smoke test checking the
    emitted counts against the returned stats, and the Report.pp_row
    column clamping. *)
 
 open Qdp_network
 module Metrics = Qdp_obs.Metrics
 module Trace = Qdp_obs.Trace
+module Prof = Qdp_obs.Prof
 
+let section = Qdp_obs.section
 let with_obs f = Qdp_obs.with_enabled true f
+
+(* Trace and profile both on, for the sink-agreement cases. *)
+let with_both f =
+  Trace.clear ();
+  Prof.reset ();
+  Prof.set_enabled true;
+  Fun.protect ~finally:(fun () -> Prof.set_enabled false) (fun () -> with_obs f)
 
 let contains ~needle haystack =
   let nl = String.length needle and hl = String.length haystack in
@@ -102,8 +112,8 @@ let test_span_nesting () =
   Trace.clear ();
   let result =
     with_obs (fun () ->
-        Trace.with_span "outer" (fun () ->
-            Trace.with_span "inner"
+        section "outer" (fun () ->
+            section "inner"
               ~attrs:(fun () ->
                 [ ("k", Trace.Str "v\"quoted"); ("n", Trace.Int 3) ])
               (fun () -> 21 * 2)))
@@ -128,7 +138,7 @@ let test_span_nesting () =
 
 let test_span_disabled () =
   Trace.clear ();
-  let r = Trace.with_span "ghost" (fun () -> 7) in
+  let r = section "ghost" (fun () -> 7) in
   Alcotest.(check int) "disabled span is transparent" 7 r;
   Alcotest.(check int) "nothing recorded" 0 (List.length (Trace.spans ()))
 
@@ -136,7 +146,7 @@ let test_ring_buffer () =
   Trace.set_capacity 4;
   with_obs (fun () ->
       for i = 1 to 6 do
-        Trace.with_span (Printf.sprintf "s%d" i) (fun () -> ())
+        section (Printf.sprintf "s%d" i) (fun () -> ())
       done);
   Alcotest.(check int) "ring keeps the last [capacity] spans" 4
     (List.length (Trace.spans ()));
@@ -150,13 +160,96 @@ let test_span_exception () =
   Trace.clear ();
   (try
      with_obs (fun () ->
-         Trace.with_span "raising" (fun () -> failwith "boom"))
+         section "raising" (fun () -> failwith "boom"))
    with Failure _ -> ());
   let sp = span_named "raising" in
   Alcotest.(check int) "span recorded despite the exception" 0 sp.Trace.depth;
   (* the span stack unwound: a following root span has depth 0 *)
-  with_obs (fun () -> Trace.with_span "after" (fun () -> ()));
+  with_obs (fun () -> section "after" (fun () -> ()));
   Alcotest.(check int) "stack unwound" 0 (span_named "after").Trace.depth
+
+(* --- one section, two sinks --- *)
+
+(* A span's profile path, rebuilt from its parent chain. *)
+let span_path spans sp =
+  let by_id = Hashtbl.create 16 in
+  List.iter (fun s -> Hashtbl.replace by_id s.Trace.id s) spans;
+  let rec go sp =
+    if sp.Trace.parent = -1 then sp.Trace.name
+    else
+      match Hashtbl.find_opt by_id sp.Trace.parent with
+      | Some p -> go p ^ "/" ^ sp.Trace.name
+      | None -> Alcotest.failf "span %s: parent %d not recorded" sp.Trace.name
+                  sp.Trace.parent
+  in
+  go sp
+
+let prof_calls () =
+  List.map (fun e -> (e.Prof.e_path, e.Prof.e_calls)) (Prof.entries ())
+
+let test_sinks_agree () =
+  with_both (fun () ->
+      section "root" (fun () ->
+          section "a" (fun () -> section "leaf" ignore);
+          (try
+             section "b" (fun () ->
+                 section "raise" (fun () -> failwith "boom"))
+           with Failure _ -> ());
+          section "c" ignore));
+  let spans = Trace.spans () in
+  let paths = List.map (span_path spans) spans in
+  Alcotest.(check (list string)) "span chain = profile paths, in exit order"
+    (List.map fst (prof_calls ())) paths;
+  Alcotest.(check (list string)) "the expected tree"
+    [ "root/a/leaf"; "root/a"; "root/b/raise"; "root/b"; "root/c"; "root" ]
+    paths;
+  List.iter2
+    (fun sp path ->
+      let segments = List.length (String.split_on_char '/' path) in
+      Alcotest.(check int) (path ^ " depth") (segments - 1) sp.Trace.depth)
+    spans paths;
+  Alcotest.(check bool) "one call per path" true
+    (List.for_all (fun (_, c) -> c = 1) (prof_calls ()))
+
+(* A section opened inside a pool task on a worker domain roots a new
+   tree there in both sinks; the tasks the submitting domain helps
+   with keep the caller's prefix. *)
+let test_pool_roots () =
+  let jobs0 = Qdp_par.jobs () in
+  Qdp_par.set_oversubscribe true;
+  Qdp_par.set_jobs 4;
+  Fun.protect ~finally:(fun () -> Qdp_par.set_jobs jobs0) @@ fun () ->
+  let caller = (Domain.self () :> int) in
+  with_both (fun () ->
+      section "outer" (fun () ->
+          ignore
+            (Qdp_par.map 32 (fun i ->
+                 section "task"
+                   ~attrs:(fun () ->
+                     [ ("domain", Trace.Int (Domain.self () :> int)) ])
+                   (fun () ->
+                     Unix.sleepf 0.002;
+                     i)))));
+  let outer = span_named "outer" in
+  let tasks = List.filter (fun sp -> sp.Trace.name = "task") (Trace.spans ()) in
+  let on_worker sp = List.assoc "domain" sp.Trace.attrs <> Trace.Int caller in
+  let workers = List.length (List.filter on_worker tasks) in
+  Alcotest.(check int) "every task traced" 32 (List.length tasks);
+  Alcotest.(check bool) "some task ran on a worker" true (workers > 0);
+  List.iter
+    (fun sp ->
+      let parent, depth =
+        if on_worker sp then (-1, 0) else (outer.Trace.id, 1)
+      in
+      Alcotest.(check (pair int int)) "task span parent, depth" (parent, depth)
+        (sp.Trace.parent, sp.Trace.depth))
+    tasks;
+  let calls path =
+    Option.value ~default:0 (List.assoc_opt path (prof_calls ()))
+  in
+  Alcotest.(check int) "worker tasks profile as roots" workers (calls "task");
+  Alcotest.(check int) "caller tasks keep the prefix" (32 - workers)
+    (calls "outer/task")
 
 (* --- Runtime.run smoke test --- *)
 
@@ -187,23 +280,17 @@ let test_runtime_obs () =
     stats.Runtime.messages
     (counter_value "runtime.messages");
   Alcotest.(check int) "one run counted" 1 (counter_value "runtime.runs");
-  let round_spans =
-    List.filter (fun sp -> sp.Trace.name = "runtime.round") (Trace.spans ())
-  in
-  Alcotest.(check int) "one span per round" rounds (List.length round_spans);
-  let span_messages =
-    List.fold_left
-      (fun acc sp ->
-        match List.assoc_opt "messages" sp.Trace.attrs with
-        | Some (Trace.Int m) -> acc + m
-        | _ -> Alcotest.fail "round span lacks a messages attr")
-      0 round_spans
-  in
-  Alcotest.(check int) "per-round span counts sum to stats.messages"
-    stats.Runtime.messages span_messages;
-  let run_span = span_named "runtime.run" in
-  Alcotest.(check bool) "rounds nest under the run span" true
-    (List.for_all (fun sp -> sp.Trace.parent = run_span.Trace.id) round_spans)
+  let per_round = hview "runtime.round_messages" in
+  Alcotest.(check int) "one round_messages sample per round" rounds
+    per_round.Metrics.h_count;
+  Alcotest.(check (float 0.)) "per-round samples sum to stats.messages"
+    (float_of_int stats.Runtime.messages) per_round.Metrics.h_sum;
+  (* one span per execution, none per round *)
+  Alcotest.(check (list string)) "only the run span" [ "runtime" ]
+    (List.map (fun sp -> sp.Trace.name) (Trace.spans ()));
+  Alcotest.(check bool) "run span carries the round count" true
+    (List.assoc_opt "rounds" (span_named "runtime").Trace.attrs
+    = Some (Trace.Int rounds))
 
 (* --- Report.pp_row clamping --- *)
 
@@ -254,6 +341,11 @@ let () =
           Alcotest.test_case "disabled" `Quick test_span_disabled;
           Alcotest.test_case "ring buffer" `Quick test_ring_buffer;
           Alcotest.test_case "exception safety" `Quick test_span_exception;
+        ] );
+      ( "section",
+        [
+          Alcotest.test_case "trace and profile agree" `Quick test_sinks_agree;
+          Alcotest.test_case "pool task roots a new tree" `Quick test_pool_roots;
         ] );
       ("runtime", [ Alcotest.test_case "run smoke" `Quick test_runtime_obs ]);
       ("report", [ Alcotest.test_case "pp_row clamp" `Quick test_report_clamp ]);

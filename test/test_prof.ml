@@ -1,11 +1,11 @@
-(* Tests for the profiling & cost-attribution layer: Prof section
-   nesting and the attribution tree, GC-allocation attribution,
-   the disabled-mode zero-cost contract, pool busy/idle accounting,
-   Calib sampling and its jobs-invariance, Progress heartbeat content,
-   the Json parser, and the Perf_diff noise-aware comparator. *)
+(* Tests for the profiling & cost-attribution layer: section nesting
+   and the attribution tree, GC-allocation attribution, the
+   disabled-mode zero-cost contract, pool busy/idle accounting, the
+   jobs-invariance of the dense-kernel call counts, Progress heartbeat
+   content, the Json parser, and the Perf_diff noise-aware
+   comparator. *)
 
 module Prof = Qdp_obs.Prof
-module Calib = Qdp_obs.Calib
 module Progress = Qdp_obs.Progress
 module Perf_diff = Qdp_obs.Perf_diff
 module Json = Qdp_obs.Json
@@ -29,10 +29,10 @@ let with_prof f =
 let test_section_nesting () =
   with_prof (fun () ->
       let r =
-        Prof.section "a" (fun () ->
-            let b1 = Prof.section "b" (fun () -> 1) in
-            let b2 = Prof.section "b" (fun () -> 2) in
-            let c = Prof.section "c" (fun () -> 4) in
+        Qdp_obs.section "a" (fun () ->
+            let b1 = Qdp_obs.section "b" (fun () -> 1) in
+            let b2 = Qdp_obs.section "b" (fun () -> 2) in
+            let c = Qdp_obs.section "c" (fun () -> 4) in
             b1 + b2 + c)
       in
       Alcotest.(check int) "value passes through" 7 r);
@@ -72,7 +72,7 @@ let test_section_nesting () =
 
 let test_gc_attribution () =
   with_prof (fun () ->
-      Prof.section "alloc" (fun () ->
+      Qdp_obs.section "alloc" (fun () ->
           ignore (Sys.opaque_identity (Array.make 200_000 0.))));
   match Prof.entries () with
   | [ e ] ->
@@ -93,13 +93,13 @@ let test_disabled_noop () =
   Prof.set_enabled false;
   Prof.reset ();
   Alcotest.(check int) "disabled section is transparent" 9
-    (Prof.section "ghost" (fun () -> 9));
+    (Qdp_obs.section "ghost" (fun () -> 9));
   Alcotest.(check int) "nothing recorded" 0 (List.length (Prof.entries ()));
   (* zero-cost contract: a disabled hook is one atomic load and must
      not allocate per call (budget of a few words/call for safety) *)
   let before = Gc.minor_words () in
   for _ = 1 to 1000 do
-    Prof.section "off" noop
+    Qdp_obs.section "off" noop
   done;
   let delta = Gc.minor_words () -. before in
   Alcotest.(check bool)
@@ -110,10 +110,10 @@ let test_disabled_noop () =
 let test_section_exception () =
   with_prof (fun () ->
       (try
-         Prof.section "outer" (fun () ->
-             Prof.section "boom" (fun () -> failwith "boom"))
+         Qdp_obs.section "outer" (fun () ->
+             Qdp_obs.section "boom" (fun () -> failwith "boom"))
        with Failure _ -> ());
-      Prof.section "after" (fun () -> ()));
+      Qdp_obs.section "after" (fun () -> ()));
   let paths = List.map (fun e -> e.Prof.e_path) (Prof.entries ()) in
   Alcotest.(check bool) "raising section recorded" true
     (List.mem "outer/boom" paths);
@@ -144,7 +144,7 @@ let test_domain_stats () =
             stats))
 
 let test_prof_json () =
-  with_prof (fun () -> Prof.section "j" (fun () -> ()));
+  with_prof (fun () -> Qdp_obs.section "j" (fun () -> ()));
   let j = Json.parse (Prof.to_json ()) in
   (match Json.member "sections" j with
   | Some (Json.Arr [ s ]) ->
@@ -154,121 +154,57 @@ let test_prof_json () =
   Alcotest.(check bool) "regions object present" true
     (Json.member "regions" j <> None)
 
-(* --- Calib --- *)
-
-let test_calib_sampling () =
-  Calib.reset ();
-  Calib.set_enabled true;
-  Fun.protect
-    ~finally:(fun () ->
-      Calib.set_enabled false;
-      Calib.reset ())
-    (fun () ->
-      Alcotest.(check int) "value passes through" 5
-        (Calib.sample ~kernel:"t" ~macs:10. (fun () -> 5));
-      for _ = 1 to 599 do
-        Calib.sample ~kernel:"t" ~macs:10. noop
-      done;
-      match Calib.kernels () with
-      | [ k ] ->
-          Alcotest.(check string) "kernel name" "t" k.Calib.k_name;
-          Alcotest.(check int) "totals keep counting past the cap" 600
-            k.Calib.k_calls;
-          Alcotest.(check (float 1e-6)) "macs accumulate" 6000. k.Calib.k_macs;
-          Alcotest.(check int) "raw samples capped" Calib.max_samples
-            (List.length k.Calib.k_samples)
-      | ks -> Alcotest.failf "expected one kernel, got %d" (List.length ks));
-  Alcotest.(check int) "disabled sample is transparent" 3
-    (Calib.sample ~kernel:"t" ~macs:1. (fun () -> 3));
-  Alcotest.(check int) "disabled sample records nothing" 0
-    (List.length (Calib.kernels ()))
-
-(* Regression test for the sample-retention bug: the capped raw-sample
-   list used to keep the FIRST max_samples calls (cold-start prefix,
-   first-write-wins), so long runs exported only startup noise to
-   BENCH_calib.json.  The ring must keep the most recent window instead. *)
-let test_calib_tail_window () =
-  Calib.reset ();
-  Calib.set_enabled true;
-  Fun.protect
-    ~finally:(fun () ->
-      Calib.set_enabled false;
-      Calib.reset ())
-    (fun () ->
-      let total = Calib.max_samples + 88 in
-      for i = 1 to total do
-        Calib.sample ~kernel:"w" ~macs:(float_of_int i) noop
-      done;
-      match Calib.kernels () with
-      | [ k ] ->
-          let samples = Array.of_list k.Calib.k_samples in
-          Alcotest.(check int) "window holds max_samples" Calib.max_samples
-            (Array.length samples);
-          Alcotest.(check (float 0.)) "window starts past the evicted prefix"
-            (float_of_int (total - Calib.max_samples + 1))
-            samples.(0).Calib.s_macs;
-          Alcotest.(check (float 0.)) "latest sample is present"
-            (float_of_int total)
-            samples.(Array.length samples - 1).Calib.s_macs;
-          Array.iteri
-            (fun j s ->
-              let i = total - Calib.max_samples + 1 + j in
-              if s.Calib.s_macs <> float_of_int i then
-                Alcotest.failf "slot %d: expected macs %d, got %g" j i
-                  s.Calib.s_macs)
-            samples;
-          (* no dispatch decision is left to record *)
-          let rec has_path = function
-            | Json.Obj kvs ->
-                List.exists (fun (k, v) -> k = "path" || has_path v) kvs
-            | Json.Arr vs -> List.exists has_path vs
-            | _ -> false
-          in
-          Alcotest.(check bool) "exported JSON has no \"path\" key" false
-            (has_path (Json.parse (Calib.to_json ())))
-      | ks -> Alcotest.failf "expected one kernel, got %d" (List.length ks))
-
-(* The perf-diff inputs must be jobs-invariant: the same workload at
-   jobs = 1 and jobs = 4 records identical kernel names, call counts
-   and MAC totals, and computes bit-identical results. *)
-let test_calib_jobs_invariance () =
+(* The dense kernels' profile call counts are jobs-invariant: the
+   same workload at jobs = 1 and jobs = 4 opens the same number of
+   [mat.mul], [mat.tensor] and [batch.*] sections (the kernels run
+   sequentially on the calling domain whatever the job count), and
+   computes bit-identical results. *)
+let test_kernel_calls_jobs_invariance () =
   let open Qdp_linalg in
   let jobs0 = Qdp_par.jobs () in
-  Calib.reset ();
-  Calib.set_enabled true;
-  Fun.protect
-    ~finally:(fun () ->
-      Qdp_par.set_jobs jobs0;
-      Calib.set_enabled false;
-      Calib.reset ())
-    (fun () ->
-      let batch () =
-        let st = Random.State.make [| 77 |] in
-        Batch.init 512 16 (fun _ _ ->
-            Cx.make
-              (Random.State.float st 2. -. 1.)
-              (Random.State.float st 2. -. 1.))
-      in
-      let view () =
-        List.map
-          (fun k -> (k.Calib.k_name, k.Calib.k_calls, k.Calib.k_macs))
-          (Calib.kernels ())
-      in
-      Qdp_par.set_jobs 1;
-      let g1 = Batch.gram (batch ()) in
-      let v1 = view () in
-      Calib.reset ();
-      Qdp_par.set_jobs 4;
-      let g4 = Batch.gram (batch ()) in
-      let v4 = view () in
-      Alcotest.(check (list (triple string int (float 0.))))
-        "kernel attribution is jobs-invariant" v1 v4;
-      Alcotest.(check bool) "gram MACs recorded" true
-        (List.exists (fun (n, _, m) -> n = "batch.gram" && m > 0.) v1);
-      Alcotest.(check bool) "results bit-identical across job counts" true
-        (Batch.equal ~eps:0. (Batch.of_cols [| Mat.apply g1 (Vec.basis 16 0) |])
-           (Batch.of_cols [| Mat.apply g4 (Vec.basis 16 0) |])
-        && Mat.equal ~eps:0. g1 g4))
+  Fun.protect ~finally:(fun () -> Qdp_par.set_jobs jobs0) @@ fun () ->
+  let workload () =
+    let st = Random.State.make [| 77 |] in
+    let b =
+      Batch.init 512 16 (fun _ _ ->
+          Cx.make
+            (Random.State.float st 2. -. 1.)
+            (Random.State.float st 2. -. 1.))
+    in
+    let m = Mat.init 16 16 (fun i j -> Cx.make (float_of_int (i - j)) 0.) in
+    let g = Batch.gram b in
+    let prod = Mat.mul (Mat.tensor (Mat.identity 2) m) (Mat.identity 32) in
+    let out = Batch.create 16 512 in
+    let src = Batch.init 16 512 (fun g c -> Batch.get b c g) in
+    Batch.apply_into m ~src ~dst:out;
+    (g, prod, out)
+  in
+  (* total calls per section name, over every path it appears under *)
+  let calls () =
+    List.filter_map
+      (fun r ->
+        if List.mem r.Prof.r_name
+             [ "mat.mul"; "mat.tensor"; "batch.gram"; "batch.apply_into" ]
+        then Some (r.Prof.r_name, r.Prof.r_calls)
+        else None)
+      (Prof.flat ())
+    |> List.sort compare
+  in
+  let run jobs =
+    Qdp_par.set_jobs jobs;
+    let r = with_prof workload in
+    (r, calls ())
+  in
+  let (g1, p1, o1), c1 = run 1 in
+  let (g4, p4, o4), c4 = run 4 in
+  Alcotest.(check (list (pair string int)))
+    "kernel calls are jobs-invariant" c1 c4;
+  Alcotest.(check (list string)) "every kernel counted"
+    [ "batch.apply_into"; "batch.gram"; "mat.mul"; "mat.tensor" ]
+    (List.map fst c1);
+  Alcotest.(check bool) "results bit-identical across job counts" true
+    (Mat.equal ~eps:0. g1 g4 && Mat.equal ~eps:0. p1 p4
+    && Batch.equal ~eps:0. o1 o4)
 
 (* --- Progress --- *)
 
@@ -648,19 +584,6 @@ let test_diff_extract_perf () =
        (Perf_diff.diff Perf_diff.default_config ~old_ ~new_:slow)
     > 0)
 
-let test_diff_extract_calib () =
-  let fixture =
-    "{\"calibration\":[{\"kernel\":\"mat.mul\",\"calls\":3,\"total_macs\":100.0,\n\
-     \"total_seconds\":0.5,\"ns_per_mac\":5.0,\"minor_words\":0,\"major_words\":0,\"samples\":[]}]}"
-  in
-  match Perf_diff.metrics_of_string fixture with
-  | [ m ] ->
-      Alcotest.(check string) "key" "mat.mul.ns_per_mac" m.Perf_diff.m_key;
-      Alcotest.(check (float 0.)) "value" 5.0 m.Perf_diff.m_value;
-      Alcotest.(check (float 0.)) "floored on total seconds" 0.5
-        m.Perf_diff.m_seconds
-  | ms -> Alcotest.failf "expected one metric, got %d" (List.length ms)
-
 let test_diff_extract_obs () =
   let fixture =
     "{\"trace\":{\"spans\":1,\"dropped\":0},\n\
@@ -697,7 +620,7 @@ let test_diff_slowdowns () =
     (List.length (check ~seq:0.001 ~par:0.004));
   Alcotest.(check int) "non-perf shape: vacuously clean" 0
     (List.length
-       (Perf_diff.slowdowns cfg (Json.parse "{\"calibration\":[]}")));
+       (Perf_diff.slowdowns cfg (Json.parse "{\"trace\":{}}")));
   (* per-group threshold overrides apply *)
   let lax = { cfg with group_thresholds = [ ("gram_batch", 10.) ] } in
   Alcotest.(check int) "group override widens the band" 0
@@ -724,13 +647,8 @@ let () =
           Alcotest.test_case "exception safety" `Quick test_section_exception;
           Alcotest.test_case "domain busy/idle" `Quick test_domain_stats;
           Alcotest.test_case "json export" `Quick test_prof_json;
-        ] );
-      ( "calib",
-        [
-          Alcotest.test_case "sampling + cap" `Quick test_calib_sampling;
-          Alcotest.test_case "tail window keeps latest" `Quick
-            test_calib_tail_window;
-          Alcotest.test_case "jobs invariance" `Quick test_calib_jobs_invariance;
+          Alcotest.test_case "kernel calls jobs invariance" `Quick
+            test_kernel_calls_jobs_invariance;
         ] );
       ( "progress",
         [
@@ -758,7 +676,6 @@ let () =
         [
           Alcotest.test_case "verdicts" `Quick test_diff_verdicts;
           Alcotest.test_case "extract perf" `Quick test_diff_extract_perf;
-          Alcotest.test_case "extract calib" `Quick test_diff_extract_calib;
           Alcotest.test_case "extract obs" `Quick test_diff_extract_obs;
           Alcotest.test_case "slowdown self-check" `Quick test_diff_slowdowns;
           Alcotest.test_case "malformed input" `Quick test_diff_malformed;
