@@ -170,7 +170,11 @@ let with_obs ~tool ~cmd o f =
       (dump "metrics" @@ fun file ->
        Qdp_obs.Metrics.write_json file (Qdp_obs.Metrics.snapshot ()))
       o.metrics;
-    Option.iter (dump "trace" Qdp_obs.Trace.write_jsonl) o.trace;
+    Option.iter
+      (fun file ->
+        dump "trace" Qdp_obs.Trace.write_jsonl file;
+        Option.iter prerr_endline (Qdp_obs.Trace.drop_note ()))
+      o.trace;
     if o.profile then Format.eprintf "%a@?" Qdp_obs.Prof.report ()
   in
   Fun.protect ~finally:finish (fun () -> Qdp_obs.section cmd f)

@@ -163,9 +163,11 @@ val cross_validate_demo :
     (soundness contractivity, completeness decay) are measured
     against.  [fc_prepare ()] builds the case's prover states once
     (drawing no randomness) and returns the per-trial run, which
-    only draws coins and may be applied any number of times; a
-    caller measuring many trials prepares once before its loop.
-    [fc_run st env] is the one-shot [fc_prepare () st env]. *)
+    only draws coins and may be applied any number of times, under
+    any fault environment; a caller measuring many trials prepares
+    once before its loop (the fault sweep prepares each case once per
+    sweep and runs it at every grid point).  [fc_run st env] is the
+    one-shot [fc_prepare () st env]. *)
 type fault_case = {
   fc_strategy : string;
   fc_analytic : float;

@@ -25,6 +25,35 @@ let swap_accept a b =
   let ov = Cx.norm2 (Oneway.bundle_overlap a b) in
   (1. +. ov) /. 2.
 
+(* The inverses of [Symmetric.permutations k] in enumeration order,
+   one byte per entry in a flat [k! * k] table.  Tables for
+   [k <= max_cached_k] are built on first use and published through an
+   [Atomic], so domains share them (a race only builds the same table
+   twice); a larger [k] (k! >= 40320) gets a fresh table per call. *)
+let max_cached_k = 7
+let inverse_tables = Array.init (max_cached_k + 1) (fun _ -> Atomic.make None)
+
+let build_inverses k =
+  let perms = Qdp_quantum.Symmetric.permutations k in
+  let t = Bytes.create (List.length perms * k) in
+  List.iteri
+    (fun p pi ->
+      Array.iteri
+        (fun l j -> Bytes.set t ((p * k) + l) (Char.chr j))
+        (Qdp_quantum.Symmetric.inverse pi))
+    perms;
+  t
+
+let inverses k =
+  if k > max_cached_k then build_inverses k
+  else
+    match Atomic.get inverse_tables.(k) with
+    | Some t -> t
+    | None ->
+        let t = build_inverses k in
+        Atomic.set inverse_tables.(k) (Some t);
+        t
+
 let perm_accept regs =
   Qdp_obs.Metrics.incr perm_calls;
   Qdp_obs.section "perm_accept" @@ fun () ->
@@ -34,22 +63,32 @@ let perm_accept regs =
   if k = 0 then invalid_arg "Sim.perm_accept: empty";
   if k = 1 then 1.
   else begin
-    let overlaps =
-      Array.init k (fun i ->
-          Array.init k (fun j -> Oneway.bundle_overlap arr.(i) arr.(j)))
-    in
-    let perms = Qdp_quantum.Symmetric.permutations k in
-    let acc = ref Cx.zero in
-    List.iter
-      (fun pi ->
-        let inv = Qdp_quantum.Symmetric.inverse pi in
-        let prod = ref Cx.one in
-        for l = 0 to k - 1 do
-          prod := Cx.mul !prod overlaps.(l).(inv.(l))
-        done;
-        acc := Cx.add !acc !prod)
-      perms;
-    (Cx.scale (1. /. float_of_int (List.length perms)) !acc).Complex.re
+    let ov_re = Array.make (k * k) 0. and ov_im = Array.make (k * k) 0. in
+    for i = 0 to k - 1 do
+      for j = 0 to k - 1 do
+        let z = Oneway.bundle_overlap arr.(i) arr.(j) in
+        ov_re.((i * k) + j) <- z.Complex.re;
+        ov_im.((i * k) + j) <- z.Complex.im
+      done
+    done;
+    (* sum_pi prod_l <r_l | r_{pi^-1 l}>, each product folded from 1
+       with [Complex.mul]'s formula, so every float matches the boxed
+       [Cx] fold; only the real part of the sum is needed. *)
+    let inv = inverses k in
+    let nperms = Bytes.length inv / k in
+    let acc = ref 0. in
+    for p = 0 to nperms - 1 do
+      let re = ref 1. and im = ref 0. in
+      for l = 0 to k - 1 do
+        let o = (l * k) + Char.code (Bytes.unsafe_get inv ((p * k) + l)) in
+        let yr = ov_re.(o) and yi = ov_im.(o) in
+        let r = (!re *. yr) -. (!im *. yi) in
+        im := (!re *. yi) +. (!im *. yr);
+        re := r
+      done;
+      acc := !acc +. !re
+    done;
+    1. /. float_of_int nperms *. !acc
   end
 
 type path_instance = {

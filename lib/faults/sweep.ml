@@ -74,6 +74,7 @@ let violations sw = sw.sw_soundness_violations + sw.sw_monotonicity_violations
 
 let obs_points = Qdp_obs.Metrics.counter "faults.points"
 let obs_violations = Qdp_obs.Metrics.counter "faults.soundness_violations"
+let obs_prepared = Qdp_obs.Metrics.counter "faults.cases_prepared"
 
 (* Statistical slack: a soundness observation only counts as a
    violation when the whole Wilson interval sits above the analytic
@@ -87,60 +88,42 @@ let index_of x xs =
   in
   go 0 xs
 
-(* Every RNG below derives from (seed, registry index, kind index,
-   grid index, side, case index) so reruns are bit-identical and
-   filtering protocols or kinds never shifts the seeds of what is
-   still swept. *)
-let case_measure cfg ~ids:(pi, ki, xi, side, ci) kind p
-    (case : Registry.fault_case) =
-  let proto_st = Random.State.make [| cfg.seed; pi; ki; xi; side; ci; 0 |] in
-  let fault_st = Random.State.make [| cfg.seed; pi; ki; xi; side; ci; 1 |] in
-  let env = Plan.env ?turn:cfg.turn kind ~strength:p ~st:fault_st in
+(* One task of the sweep: a (side, case) pair, prepared once and run
+   at every (kind, strength) point of [points].  Every RNG derives from
+   (seed, registry index, kind index, grid index, side, case index), so
+   reruns are bit-identical, the order in which points are run does not
+   matter, and filtering protocols or kinds never shifts the seeds of
+   what is still swept.  Returns [(hits, errors, injected)] per point:
+   plain ints keep worker frames small, and the coordinator builds the
+   measures. *)
+let case_counts cfg ~pi ~side ~ci points (case : Registry.fault_case) =
+  Qdp_obs.Metrics.incr obs_prepared;
   let run = case.fc_prepare () in
-  let hits = ref 0 and errors = ref 0 and injected = ref 0 in
-  for _ = 1 to cfg.trials do
-    let o = Plan.execute cfg.recovery (fun () -> run proto_st env) in
-    if o.accepted then incr hits;
-    errors := !errors + o.protocol_errors;
-    injected := !injected + o.injected
-  done;
+  Array.map
+    (fun (kind, ki, xi, p) ->
+      let stream k =
+        Random.State.make [| cfg.seed; pi; ki; xi; side; ci; k |]
+      in
+      let proto_st = stream 0 in
+      let fault_st = stream 1 in
+      let env = Plan.env ?turn:cfg.turn kind ~strength:p ~st:fault_st in
+      let hits = ref 0 and errors = ref 0 and injected = ref 0 in
+      for _ = 1 to cfg.trials do
+        let o = Plan.execute cfg.recovery (fun () -> run proto_st env) in
+        if o.accepted then incr hits;
+        errors := !errors + o.protocol_errors;
+        injected := !injected + o.injected
+      done;
+      (!hits, !errors, !injected))
+    points
+
+let measure cfg (case : Registry.fault_case) (hits, errors, injected) =
   {
-    m_rate = Runtime.wilson ~hits:!hits ~trials:cfg.trials ();
+    m_rate = Runtime.wilson ~hits ~trials:cfg.trials ();
     m_strategy = case.fc_strategy;
-    m_errors = !errors;
-    m_injected = !injected;
+    m_errors = errors;
+    m_injected = injected;
   }
-
-let best_measure = function
-  | [] -> None
-  | m :: ms ->
-      Some
-        (List.fold_left
-           (fun a b -> if b.m_rate.Runtime.point > a.m_rate.Runtime.point then b else a)
-           m ms)
-
-let sweep_point cfg ~ids:(pi, ki, xi) kind p (suite : Registry.fault_suite)
-    ~bound =
-  Qdp_obs.Metrics.incr obs_points;
-  let completeness =
-    match suite.fs_yes with
-    | [] -> None
-    | c :: _ -> Some (case_measure cfg ~ids:(pi, ki, xi, 0, 0) kind p c)
-  in
-  let soundness =
-    best_measure
-      (List.mapi
-         (fun ci c -> case_measure cfg ~ids:(pi, ki, xi, 1, ci) kind p c)
-         suite.fs_no)
-  in
-  let sound =
-    match soundness with
-    | None -> true
-    | Some m -> m.m_rate.Runtime.lower <= bound +. eps
-  in
-  if not sound then Qdp_obs.Metrics.incr obs_violations;
-  { pt_strength = p; pt_completeness = completeness;
-    pt_soundness = soundness; pt_sound = sound }
 
 (* Completeness must decay monotonically (up to overlapping confidence
    intervals): a later point whose whole interval sits above an earlier
@@ -180,12 +163,7 @@ let sweep_entry cfg ~pi entry =
                   (Plan.applicable ~quantum_links:suite.fs_quantum_links))
               ks
       in
-      (* The kinds x strengths grid is embarrassingly parallel: every
-         point re-seeds from its stable (protocol, kind, grid, side,
-         case) indices (see [case_measure]), so measuring the
-         flattened grid on the pool and regrouping into per-kind
-         curves is bit-identical to the sequential double loop. *)
-      let flat =
+      let points =
         Array.of_list
           (List.concat_map
              (fun kind ->
@@ -193,22 +171,53 @@ let sweep_entry cfg ~pi entry =
                List.mapi (fun xi p -> (kind, ki, xi, p)) cfg.grid)
              kinds)
       in
-      let progress =
-        Qdp_obs.Progress.start ~total:(Array.length flat)
-          ("faults/" ^ suite.fs_id)
-      in
-      let eval i =
-        let kind, ki, xi, p = flat.(i) in
-        let pt = sweep_point cfg ~ids:(pi, ki, xi) kind p suite ~bound in
-        Qdp_obs.Progress.step progress;
-        pt
-      in
-      let measured =
-        Qdp_dist.map_shards
-          ~label:("faults/" ^ suite.fs_id)
-          ~n:(Array.length flat) eval
+      (* The unit of work is a case: task [i] prepares [cases.(i)] —
+         the first honest yes case (side 0), then every no case in [ci]
+         order (side 1) — and measures it over the whole kinds x
+         strengths grid (see [case_counts]), so each case is prepared
+         once per sweep.  Results are stored by task index, so
+         regrouping them into points is bit-identical at any
+         [--jobs]/[--workers]. *)
+      let yes = List.filteri (fun i _ -> i = 0) suite.fs_yes in
+      let nyes = List.length yes in
+      let cases = Array.of_list (yes @ suite.fs_no) in
+      let label = "faults/" ^ suite.fs_id in
+      let progress = Qdp_obs.Progress.start ~total:(Array.length cases) label in
+      let counts =
+        Qdp_dist.map_shards ~label ~n:(Array.length cases) (fun i ->
+            let side, ci = if i < nyes then (0, 0) else (1, i - nyes) in
+            let r = case_counts cfg ~pi ~side ~ci points cases.(i) in
+            Qdp_obs.Progress.step progress;
+            r)
       in
       Qdp_obs.Progress.finish progress;
+      let measure_at i j = measure cfg cases.(i) counts.(i).(j) in
+      let hits i j =
+        let h, _, _ = counts.(i).(j) in
+        h
+      in
+      let point j (_, _, _, p) =
+        Qdp_obs.Metrics.incr obs_points;
+        let completeness = if nyes = 0 then None else Some (measure_at 0 j) in
+        (* soundness reports the best attack: the first no case (in [ci]
+           order) with the most hits, so only its measure is built *)
+        let best = ref None in
+        for i = nyes to Array.length cases - 1 do
+          match !best with
+          | Some b when hits b j >= hits i j -> ()
+          | _ -> best := Some i
+        done;
+        let soundness = Option.map (fun i -> measure_at i j) !best in
+        let sound =
+          match soundness with
+          | None -> true
+          | Some m -> m.m_rate.Runtime.lower <= bound +. eps
+        in
+        if not sound then Qdp_obs.Metrics.incr obs_violations;
+        { pt_strength = p; pt_completeness = completeness;
+          pt_soundness = soundness; pt_sound = sound }
+      in
+      let measured = Array.mapi point points in
       let npoints = List.length cfg.grid in
       let curves =
         List.mapi

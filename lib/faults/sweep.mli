@@ -91,13 +91,18 @@ type t = {
 (** Total invariant failures (what the CLI's exit code reports). *)
 val violations : t -> int
 
-(** [run cfg] executes the sweep, measuring each protocol's
-    kinds x strengths grid as one [Qdp_dist.map_shards] grid.  All
+(** [run cfg] executes the sweep.  Each protocol is one
+    [Qdp_dist.map_shards] grid whose task is one fault case — the
+    first honest yes case or one no case: the task prepares the case
+    once ([Registry.fc_prepare], counted by [faults.cases_prepared])
+    and runs it at every (kind, strength) point, returning only
+    [(hits, errors, injected)] per point; the coordinator builds the
+    measures and regroups them into points and curves.  All
     randomness derives from [cfg.seed] plus stable (protocol, kind,
-    grid, case) indices, so a rerun is bit-identical — at any
-    [--jobs]/[--workers] value — and restricting [protocols]/[kinds] never
-    shifts the seeds of what is still swept.  Each point increments
-    [faults.points]; failed soundness checks increment
+    grid, side, case) indices, so a rerun is bit-identical — at any
+    [--jobs]/[--workers] value — and restricting [protocols]/[kinds]
+    never shifts the seeds of what is still swept.  Each point
+    increments [faults.points]; failed soundness checks increment
     [faults.soundness_violations]. *)
 val run : config -> t
 

@@ -1,8 +1,21 @@
-type t = { n : int; adj : (int, unit) Hashtbl.t array }
+(* [index] numbers the edges in [edges] order; it is built on first
+   use, published atomically so domains can share a graph (a race only
+   builds the same index twice), and dropped by [add_edge]. *)
+type index = { ids : (int, int) Hashtbl.t array; ends : (int * int) array }
+
+type t = {
+  n : int;
+  adj : (int, unit) Hashtbl.t array;
+  index : index option Atomic.t;
+}
 
 let create n =
   if n <= 0 then invalid_arg "Graph.create: need at least one node";
-  { n; adj = Array.init n (fun _ -> Hashtbl.create 4) }
+  {
+    n;
+    adj = Array.init n (fun _ -> Hashtbl.create 4);
+    index = Atomic.make None;
+  }
 
 let check g u = if u < 0 || u >= g.n then invalid_arg "Graph: node out of range"
 
@@ -11,7 +24,8 @@ let add_edge g u v =
   check g v;
   if u = v then invalid_arg "Graph.add_edge: self-loop";
   Hashtbl.replace g.adj.(u) v ();
-  Hashtbl.replace g.adj.(v) u ()
+  Hashtbl.replace g.adj.(v) u ();
+  Atomic.set g.index None
 
 let size g = g.n
 
@@ -41,6 +55,31 @@ let edges g =
     Hashtbl.iter (fun v () -> if u < v then acc := (u, v) :: !acc) g.adj.(u)
   done;
   List.sort compare !acc
+
+let index g =
+  match Atomic.get g.index with
+  | Some ix -> ix
+  | None ->
+      let ends = Array.of_list (edges g) in
+      let ids = Array.init g.n (fun u -> Hashtbl.create (degree g u)) in
+      Array.iteri
+        (fun i (u, v) ->
+          Hashtbl.replace ids.(u) v i;
+          Hashtbl.replace ids.(v) u i)
+        ends;
+      let ix = { ids; ends } in
+      Atomic.set g.index (Some ix);
+      ix
+
+let edge_count g = Array.length (index g).ends
+let edge g i = (index g).ends.(i)
+
+let edge_id g u v =
+  check g u;
+  check g v;
+  match Hashtbl.find (index g).ids.(u) v with
+  | i -> i
+  | exception Not_found -> -1
 
 let bfs_distances g src =
   check g src;

@@ -33,6 +33,24 @@ val has_edge : t -> int -> int -> bool
     [u < v]. *)
 val edges : t -> (int * int) list
 
+(** {2 Dense edge index}
+
+    The edges numbered [0 .. edge_count g - 1] in {!edges} order, so a
+    per-edge tally can be a plain int array.  The index is built on
+    first use and kept until the next {!add_edge}; a graph may be
+    shared across domains. *)
+
+(** [edge_count g] is [List.length (edges g)]. *)
+val edge_count : t -> int
+
+(** [edge g i] is the [i]-th element of [edges g]. *)
+val edge : t -> int -> int * int
+
+(** [edge_id g u v] is the index of the edge [{u, v}], or [-1] when [u]
+    and [v] are not adjacent.
+    @raise Invalid_argument if [u] or [v] is out of range. *)
+val edge_id : t -> int -> int -> int
+
 (** [bfs_distances g u] is the array of hop distances from [u]
     ([max_int] for unreachable nodes). *)
 val bfs_distances : t -> int -> int array

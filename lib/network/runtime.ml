@@ -179,7 +179,7 @@ let run_turns ?faults ?st ?deadline:deadline_opt g ~schedule ~prover program =
   let obs_on = Qdp_obs.enabled () in
   let states = Array.init n program.tp_init in
   let inboxes = Array.make n [] in
-  let edge_count = Hashtbl.create 16 in
+  let traffic = Array.make (Graph.edge_count g) 0 in
   let total = ref 0 in
   let prover_total = ref 0 in
   let round_no = ref 0 in
@@ -230,6 +230,7 @@ let run_turns ?faults ?st ?deadline:deadline_opt g ~schedule ~prover program =
       (fun u out ->
         List.iter
           (fun (dest, payload) ->
+            let e = Graph.edge_id g u dest in
             let deliveries =
               match inj with
               | None -> [ payload ]
@@ -242,9 +243,7 @@ let run_turns ?faults ?st ?deadline:deadline_opt g ~schedule ~prover program =
                 if obs_on then
                   Qdp_obs.Metrics.set_max obs_payload_words
                     (float_of_int (Obj.reachable_words (Obj.repr payload)));
-                let e = (min u dest, max u dest) in
-                let c = try Hashtbl.find edge_count e with Not_found -> 0 in
-                Hashtbl.replace edge_count e (c + 1))
+                traffic.(e) <- traffic.(e) + 1)
               deliveries)
           out)
       outboxes;
@@ -312,10 +311,13 @@ let run_turns ?faults ?st ?deadline:deadline_opt g ~schedule ~prover program =
   let verdicts =
     Array.init n (fun u -> program.tp_finish ~transcript ~id:u states.(u))
   in
-  let per_edge =
-    List.sort compare
-      (Hashtbl.fold (fun e c acc -> (e, c) :: acc) edge_count [])
-  in
+  (* edge ids follow [Graph.edges] order, so this is sorted by edge *)
+  let per_edge = ref [] in
+  for e = Array.length traffic - 1 downto 0 do
+    if traffic.(e) > 0 then
+      per_edge := (Graph.edge g e, traffic.(e)) :: !per_edge
+  done;
+  let per_edge = !per_edge in
   Qdp_obs.Metrics.set_max obs_edges_active (float_of_int (List.length per_edge));
   let down, fault_counts =
     match faults with

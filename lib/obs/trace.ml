@@ -75,6 +75,16 @@ let spans () = locked contents_unlocked
    pair. *)
 let snapshot () = locked (fun () -> (contents_unlocked (), !dropped_spans))
 
+let drop_note () =
+  let dropped, cap = locked (fun () -> (!dropped_spans, Array.length !buf)) in
+  if dropped = 0 then None
+  else
+    Some
+      (Printf.sprintf
+         "trace: %d earlier spans were evicted; the file holds the last %d \
+          (the ring's capacity)"
+         dropped cap)
+
 let fresh_id () = Atomic.fetch_and_add next_id 1 + 1
 
 let record ~id ~parent ~depth ~t0 ~dur_s ~attrs name =

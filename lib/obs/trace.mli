@@ -52,6 +52,12 @@ val snapshot : unit -> span list * int
 
 val capacity : unit -> int
 
+(** [drop_note ()] is [None] while the ring has evicted nothing, else
+    a one-line warning naming the evicted count and {!capacity} — what
+    a [--trace] file cannot say about itself, since its lines are
+    spans only. *)
+val drop_note : unit -> string option
+
 (** [set_capacity n] replaces the sink with an empty ring of size [n]. *)
 val set_capacity : int -> unit
 

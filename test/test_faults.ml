@@ -229,6 +229,62 @@ let test_sweep_deterministic () =
   let b = Sweep.to_json (Sweep.run (tiny_sweep ())) in
   Alcotest.(check string) "same seed, byte-identical JSON" a b
 
+(* The unit of work is a case: a sweep prepares every case of every
+   swept suite exactly once, and its JSON does not depend on how the
+   (side, case) tasks are spread over domains. *)
+let test_sweep_case_major () =
+  let cfg =
+    {
+      (Sweep.default ~seed:11) with
+      Sweep.trials = 5;
+      grid = [ 0.; 0.4 ];
+      protocols = Some [ "rpls"; "dma" ];
+      spec = { small_spec with Registry.seed = 11 };
+    }
+  in
+  let count () =
+    match
+      Qdp_obs.Metrics.find (Qdp_obs.Metrics.snapshot ()) "faults.cases_prepared"
+    with
+    | Some (Qdp_obs.Metrics.Counter_v v) -> v
+    | _ -> 0
+  in
+  (* the sweep measures the first honest yes case and every no case *)
+  let cases =
+    List.fold_left
+      (fun acc id ->
+        let entry = Option.get (Registry.find id) in
+        match Registry.fault_suite cfg.Sweep.spec entry with
+        | Some s ->
+            acc
+            + min 1 (List.length s.Registry.fs_yes)
+            + List.length s.Registry.fs_no
+        | None -> Alcotest.failf "%s has no fault suite" id)
+      0 [ "rpls"; "dma" ]
+  in
+  let jobs0 = Qdp_par.jobs () and over0 = Qdp_par.oversubscribe () in
+  let obs0 = Qdp_obs.enabled () in
+  Qdp_obs.set_enabled true;
+  Fun.protect
+    ~finally:(fun () ->
+      Qdp_par.set_jobs jobs0;
+      Qdp_par.set_oversubscribe over0;
+      Qdp_obs.set_enabled obs0)
+  @@ fun () ->
+  let sweep jobs =
+    Qdp_par.set_oversubscribe true;
+    Qdp_par.set_jobs jobs;
+    let before = count () in
+    let json = Sweep.to_json (Sweep.run cfg) in
+    Alcotest.(check int)
+      (Printf.sprintf "each case prepared once at jobs %d" jobs)
+      cases (count () - before);
+    json
+  in
+  let j1 = sweep 1 in
+  let j4 = sweep 4 in
+  Alcotest.(check string) "jobs 1 = jobs 4" j1 j4
+
 let test_fault_plan_deterministic () =
   let suite = suite_of "rpls" in
   let case = List.hd suite.Registry.fs_no in
@@ -467,6 +523,7 @@ let () =
             test_sweep_deterministic;
           Alcotest.test_case "faulty run reproducible" `Quick
             test_fault_plan_deterministic;
+          Alcotest.test_case "case-major sweep" `Quick test_sweep_case_major;
         ] );
       ( "invariants",
         qcheck

@@ -143,6 +143,26 @@ let contains haystack needle =
   let rec go i = i + nl <= hl && (String.sub haystack i nl = needle || go (i + 1)) in
   go 0
 
+(* The dense edge index numbers [edges g] in order, answers both
+   orientations, and follows [add_edge]. *)
+let test_edge_index () =
+  let g = Graph.grid ~w:3 ~h:3 in
+  let edges = Graph.edges g in
+  Alcotest.(check int) "edge count" (List.length edges) (Graph.edge_count g);
+  List.iteri
+    (fun i (u, v) ->
+      Alcotest.(check (pair int int)) "edge i" (u, v) (Graph.edge g i);
+      Alcotest.(check int) "u -> v" i (Graph.edge_id g u v);
+      Alcotest.(check int) "v -> u" i (Graph.edge_id g v u))
+    edges;
+  Alcotest.(check int) "non-adjacent" (-1) (Graph.edge_id g 0 8);
+  Graph.add_edge g 0 8;
+  Alcotest.(check int) "index follows add_edge" (List.length edges + 1)
+    (Graph.edge_count g);
+  (* (0, 8) sorts after (0, 1) and (0, 3) *)
+  Alcotest.(check int) "new edge id" 2 (Graph.edge_id g 8 0);
+  Alcotest.(check (pair int int)) "new edge" (0, 8) (Graph.edge g 2)
+
 let test_graph_to_dot () =
   let g = Graph.path 2 in
   let dot = Graph.to_dot ~highlight:[ 0 ] g in
@@ -256,6 +276,73 @@ let test_runtime_rejects_non_neighbour () =
        (* the one-shot schedule is prover turn 1 + verifier turn 2 *)
        node >= 0 && round = 1 && turn = 2 && target = (node + 2) mod 4)
 
+(* Per-edge traffic under a plan that drops and duplicates messages:
+   every node sends [1 + (id + round) mod 3] copies to each neighbour
+   in all but the last round, and the receivers' inboxes are the
+   reference tally ([per_edge] counts deliveries, after faults). *)
+let test_runtime_per_edge_faulted () =
+  List.iter
+    (fun (name, g) ->
+      let n = Graph.size g in
+      let rounds = 4 in
+      let heard = Array.make n [] in
+      let program =
+        {
+          Runtime.init = (fun _ -> ());
+          round =
+            (fun ~round ~id () ~inbox ->
+              heard.(id) <- List.map fst inbox @ heard.(id);
+              if round = rounds then ((), [])
+              else
+                ( (),
+                  List.concat_map
+                    (fun v ->
+                      List.init (1 + ((id + round) mod 3)) (fun _ -> (v, ())))
+                    (Graph.neighbours g id) ));
+          finish = (fun ~id:_ () -> Runtime.Accept);
+        }
+      in
+      let link =
+        { Fault.perfect_link with Fault.drop = 0.2; duplicate = 0.3 }
+      in
+      let faults =
+        Fault.make ~st:(Random.State.make [| 0xed9e; n |])
+          { Fault.none with Fault.default_link = link }
+      in
+      let _, stats = Runtime.run ~faults g ~rounds program in
+      let expected = Hashtbl.create 16 in
+      Array.iteri
+        (fun v srcs ->
+          List.iter
+            (fun u ->
+              let e = (min u v, max u v) in
+              Hashtbl.replace expected e
+                (1 + Option.value ~default:0 (Hashtbl.find_opt expected e)))
+            srcs)
+        heard;
+      let expected =
+        List.sort compare
+          (Hashtbl.fold (fun e c acc -> (e, c) :: acc) expected [])
+      in
+      let per_edge = stats.Runtime.per_edge in
+      let counts = Option.get stats.Runtime.faults in
+      Alcotest.(check bool) (name ^ ": drops and duplicates injected") true
+        (counts.Fault.dropped > 0 && counts.Fault.duplicated > 0);
+      Alcotest.(check (list (pair (pair int int) int)))
+        (name ^ ": exact per-edge counts") expected per_edge;
+      Alcotest.(check bool) (name ^ ": (min, max) keys, strictly sorted") true
+        (List.for_all (fun ((u, v), _) -> u < v) per_edge
+        &&
+        let keys = List.map fst per_edge in
+        List.sort_uniq compare keys = keys);
+      Alcotest.(check int) (name ^ ": sums to messages") stats.Runtime.messages
+        (List.fold_left (fun acc (_, c) -> acc + c) 0 per_edge))
+    [
+      ("star", Graph.star 6);
+      ("cycle", Graph.cycle 7);
+      ("grid", Graph.grid ~w:3 ~h:4);
+    ]
+
 let test_estimate_acceptance () =
   let p = Runtime.estimate_acceptance ~st:rng ~trials:500 Random.State.bool in
   Alcotest.(check bool) "coin near half" true (Float.abs (p -. 0.5) < 0.1)
@@ -274,6 +361,7 @@ let () =
           Alcotest.test_case "random connected" `Quick test_random_connected;
           Alcotest.test_case "metric invariants" `Quick test_metric_invariants;
           Alcotest.test_case "edge validation" `Quick test_add_edge_validation;
+          Alcotest.test_case "edge index" `Quick test_edge_index;
         ] );
       ( "spanning_tree",
         [
@@ -305,6 +393,8 @@ let () =
             test_runtime_neighbour_exchange;
           Alcotest.test_case "non-neighbour rejected" `Quick
             test_runtime_rejects_non_neighbour;
+          Alcotest.test_case "per-edge counts under faults" `Quick
+            test_runtime_per_edge_faulted;
           Alcotest.test_case "estimate acceptance" `Quick test_estimate_acceptance;
         ] );
     ]

@@ -154,7 +154,13 @@ let test_ring_buffer () =
   let names = List.map (fun sp -> sp.Trace.name) (Trace.spans ()) in
   Alcotest.(check (list string)) "oldest evicted first"
     [ "s3"; "s4"; "s5"; "s6" ] names;
-  Trace.set_capacity 8192
+  Alcotest.(check (option string)) "drop note"
+    (Some
+       "trace: 2 earlier spans were evicted; the file holds the last 4 (the \
+        ring's capacity)")
+    (Trace.drop_note ());
+  Trace.set_capacity 8192;
+  Alcotest.(check (option string)) "no drops, no note" None (Trace.drop_note ())
 
 let test_span_exception () =
   Trace.clear ();

@@ -19,6 +19,65 @@ let gaussian st =
 let random_real_unit st n =
   Vec.normalize (Vec.init n (fun _ -> Cx.re (gaussian st)))
 
+let random_complex_unit st n =
+  Vec.normalize
+    (Vec.init n (fun _ -> { Complex.re = gaussian st; im = gaussian st }))
+
+(* The list-based permutation-test formula: every call enumerates the
+   k! permutations, inverts each, and folds boxed [Cx] products.  The
+   table-driven [Sim.perm_accept] must agree with it bit for bit. *)
+let perm_accept_reference regs =
+  let arr = Array.of_list regs in
+  let k = Array.length arr in
+  if k = 1 then 1.
+  else begin
+    let overlaps =
+      Array.init k (fun i ->
+          Array.init k (fun j -> Oneway.bundle_overlap arr.(i) arr.(j)))
+    in
+    let perms = Qdp_quantum.Symmetric.permutations k in
+    let acc = ref Cx.zero in
+    List.iter
+      (fun pi ->
+        let inv = Qdp_quantum.Symmetric.inverse pi in
+        let prod = ref Cx.one in
+        for l = 0 to k - 1 do
+          prod := Cx.mul !prod overlaps.(l).(inv.(l))
+        done;
+        acc := Cx.add !acc !prod)
+      perms;
+    (Cx.scale (1. /. float_of_int (List.length perms)) !acc).Complex.re
+  end
+
+(* Random complex registers of one or three factors for every
+   k = 1..8 (cached tables up to 7, built per call at 8); a third of
+   the registers repeat the first, so exact overlaps of 1 occur. *)
+let prop_perm_accept_bit_identical =
+  QCheck.Test.make ~name:"perm_accept bit-identical to the list formula"
+    ~count:4 QCheck.small_nat (fun seed ->
+      let st = Random.State.make [| seed; 0x9e7 |] in
+      List.for_all
+        (fun k ->
+          List.for_all
+            (fun factors ->
+              let dim = 2 + Random.State.int st 3 in
+              let first =
+                Array.init factors (fun _ -> random_complex_unit st dim)
+              in
+              let regs =
+                first
+                :: List.init (k - 1) (fun _ ->
+                       if Random.State.int st 3 = 0 then first
+                       else
+                         Array.init factors (fun _ ->
+                             random_complex_unit st dim))
+              in
+              Int64.equal
+                (Int64.bits_of_float (Sim.perm_accept regs))
+                (Int64.bits_of_float (perm_accept_reference regs)))
+            [ 1; 3 ])
+        (List.init 8 (fun i -> i + 1)))
+
 (* Brute force: enumerate all coin vectors, multiply conditional test
    probabilities. *)
 let brute_force_path (inst : Sim.path_instance) =
@@ -339,6 +398,7 @@ let () =
           Alcotest.test_case "bundle swap accept" `Quick test_swap_accept_bundles;
           Alcotest.test_case "perm k=2 = swap" `Quick test_perm_accept_two_is_swap;
           Alcotest.test_case "perm identical" `Quick test_perm_accept_identical;
+          QCheck_alcotest.to_alcotest prop_perm_accept_bit_identical;
         ] );
       ( "tree",
         [
