@@ -169,7 +169,7 @@ let bench_table3 =
           ignore (Qma_star_reduction.best_cut pc)));
       Test.make ~name:"exact_entangled_opt_r3" (Staged.stage (fun () ->
           ignore (Exact.optimal_entangled_attack cfg ~x_state:xs ~y_state:ys)));
-      (* one node longer than the pre-batching harness could afford *)
+      (* one node longer: a 256-dimensional proof space *)
       Test.make ~name:"exact_entangled_opt_r4" (Staged.stage (fun () ->
           let cfg4 = { Exact.r = 4; qubits = 1 } in
           ignore (Exact.optimal_entangled_attack cfg4 ~x_state:xs ~y_state:ys)));
@@ -205,11 +205,12 @@ let bench_extensions =
           ignore (Smp.accept_on_inputs smp xsmp ysmp)));
     ]
 
-(* --- batched Gram pipeline --- *)
+(* --- acceptance forms and the Batch kernels --- *)
 
-(* The pre-change Gram kernel, kept verbatim as the A/B baseline: one
-   full scalar circuit pass per basis proof, then a boxed Vec.dot per
-   Gram entry. *)
+(* The per-basis-proof reference for the acceptance form, the A/B
+   baseline of [Exact.attack_gram]'s proof-space build: one full scalar
+   circuit pass per basis proof, then a boxed Vec.dot per Gram
+   entry. *)
 let naive_attack_gram cfg ~x_state ~y_state =
   let open Qdp_linalg in
   let pdim = 1 lsl Exact.proof_qubits cfg in
@@ -223,8 +224,8 @@ let naive_attack_gram cfg ~x_state ~y_state =
 (* The pre-Bigarray Gram kernel, kept verbatim as the storage A/B
    baseline: the same tiled zero-skip loops Batch.gram ran before the
    Bigarray migration, on plain float arrays.  Timing it against
-   Batch.gram on identical data isolates the storage/microkernel win
-   from the batching win measured by [naive_attack_gram]. *)
+   Batch.gram on identical data isolates the storage/microkernel
+   win. *)
 let float_array_gram ~dim:d ~count:n (ar : float array) (ai : float array) =
   let gr = Array.make (n * n) 0. and gi = Array.make (n * n) 0. in
   let real = Array.for_all (fun x -> x = 0.) ai in
@@ -269,16 +270,17 @@ let float_array_gram ~dim:d ~count:n (ar : float array) (ai : float array) =
   done;
   (gr, gi)
 
-(* The perf workload: the full entangled-attack Gram pipeline on the
+(* The perf workload: the entangled-attack acceptance form on the
    largest path instance the tables exercise (r = 3, 2-qubit
-   fingerprints: a 256-proof batch of dimension-4096 states). *)
+   fingerprints: a 256-dimensional proof space, final states of
+   dimension 4096). *)
 let gram_cfg = { Exact.r = 3; qubits = 2 }
 let gram_xs = Exact.toy_state ~qubits:2 5
 let gram_ys = Exact.toy_state ~qubits:2 11
 
-(* The basis-proof final-state batch behind attack_gram, packed once
-   for the storage A/B (Bigarray Batch.gram vs the float-array kernel
-   above on copies of the same data). *)
+(* The basis-proof final states of that instance as one batch, packed
+   once for the storage A/B (Bigarray Batch.gram vs the float-array
+   kernel above on copies of the same data). *)
 let gram_batch_data =
   lazy
     (let open Qdp_linalg in
@@ -534,11 +536,12 @@ let dump_perf () =
   let seqs =
     List.map (fun (_, reps, work) -> time_at 1 reps work) groups
   in
-  (* Kernel A/B: both columns sequential (jobs = 1), so the speedup is
-     purely the batched rewrite (blocked Gram, fused projections,
-     blit-based register moves) against the pre-change per-proof
-     kernel.  The dense kernels always run sequentially, so they have
-     no sequential-vs-parallel group. *)
+  (* Kernel A/B: both columns sequential (jobs = 1).  The
+     [entangled_gram_r3_q2] row times the proof-space build of the
+     acceptance form (its [batched_s] column) against the
+     per-basis-proof circuit kernel ([naive_s]).  The dense kernels
+     always run sequentially, so they have no sequential-vs-parallel
+     group. *)
   let kernels =
     let batched = time_at 1 1 perf_gram_attack in
     let naive =

@@ -821,18 +821,7 @@ let turns () =
   let t = Turns_exp.run ~seed:42 ~n:32 ~r:6 ~trials:2000 () in
   Format.fprintf fmt "%a@\n" Turns_exp.pp t
 
-let all () =
-  table1 ();
-  table2 ();
-  table3 ();
-  soundness ();
-  entangled ();
-  tree ();
-  ablation ();
-  variants ();
-  check ()
-
-let tables =
+let builders =
   [
     ("t1", table1);
     ("t2", table2);
@@ -845,8 +834,18 @@ let tables =
     ("sweep", sweep);
     ("check", check);
     ("turns", turns);
-    ("all", all);
   ]
+
+(* Each table is its own section, as when it is run alone (the CLI
+   opens one named after the command), so a profile of [all] splits
+   the run by table. *)
+let all () =
+  List.iter
+    (fun name -> Qdp_obs.section name (List.assoc name builders))
+    [ "t1"; "t2"; "t3"; "soundness"; "entangled"; "tree"; "ablation";
+      "variants"; "check" ]
+
+let tables = builders @ [ ("all", all) ]
 
 let table_arg =
   Cmdliner.Arg.(

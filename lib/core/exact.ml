@@ -59,54 +59,72 @@ let accept_prob cfg ~x_state ~y_state ~proof =
   if cfg.r < 2 then Cx.norm2 (Vec.dot y_state x_state)
   else Pure.norm2 (final_state cfg ~x_state ~y_state ~proof)
 
-(* Columns of the initial batch: [pre (x) e_p (x) e_0] for every basis
-   proof [p] — built directly (one nonzero row per (amplitude of pre,
-   column) pair) instead of tensoring [pdim] separate globals. *)
-let basis_proof_batch ~pre ~pdim ~coin_dim =
-  let predim = Vec.dim pre in
-  let b = Batch.create (predim * pdim * coin_dim) pdim in
-  let bre = Batch.raw_re b and bim = Batch.raw_im b in
-  let pr = Vec.raw_re pre and pi = Vec.raw_im pre in
-  for a = 0 to predim - 1 do
-    for p = 0 to pdim - 1 do
-      let row = ((a * pdim) + p) * coin_dim in
-      bre.{(row * pdim) + p} <- pr.(a);
-      bim.{(row * pdim) + p} <- pi.(a)
-    done
+(* [swap_twirl ~pairs ~width k] averages [S_s K S_s] over every subset
+   [s] of the proof's register pairs: the proof space is [pairs] pairs
+   of [width]-qubit registers (most significant first), and [S_s] swaps
+   the two registers of each pair in [s].  [S_s] is a basis permutation
+   and an involution, so each nonzero [K[a, b]] lands on
+   [(s a, s b)].  This is how each node's coin, untouched after its
+   controlled swap, marginalises. *)
+let swap_twirl ~pairs ~width k =
+  let n = Mat.rows k in
+  let mask = (1 lsl width) - 1 in
+  let swap_pair j p =
+    let sa = ((2 * (pairs - j)) - 1) * width in
+    let sb = sa - width in
+    let fa = (p lsr sa) land mask and fb = (p lsr sb) land mask in
+    p
+    land lnot ((mask lsl sa) lor (mask lsl sb))
+    lor (fb lsl sa) lor (fa lsl sb)
+  in
+  let kr = Mat.raw_re k and ki = Mat.raw_im k in
+  let nonzero = ref [] in
+  for e = (n * n) - 1 downto 0 do
+    if kr.{e} <> 0. || ki.{e} <> 0. then nonzero := e :: !nonzero
   done;
-  b
+  let q = Mat.create n n in
+  let qr = Mat.raw_re q and qi = Mat.raw_im q in
+  (* a power of two, so scaling each term is exact *)
+  let w = 1. /. float_of_int (1 lsl pairs) in
+  let sigma = Array.make n 0 in
+  for s = 0 to (1 lsl pairs) - 1 do
+    for p = 0 to n - 1 do
+      let v = ref p in
+      for j = 0 to pairs - 1 do
+        if (s lsr j) land 1 = 1 then v := swap_pair j !v
+      done;
+      sigma.(p) <- !v
+    done;
+    List.iter
+      (fun e ->
+        let dst = (sigma.(e / n) * n) + sigma.(e mod n) in
+        qr.{dst} <- qr.{dst} +. (w *. kr.{e});
+        qi.{dst} <- qi.{dst} +. (w *. ki.{e}))
+      !nonzero
+  done;
+  q
 
-(* One batched sweep of the circuit over all [2^proof_qubits] basis
-   proofs: the per-proof passes of the scalar pipeline collapse into
-   blits and batched GEMMs on a [2^total x pdim] column batch. *)
-let final_state_batch cfg ~x_state ~y_state =
-  let r = cfg.r in
-  if r < 2 then invalid_arg "Exact.final_state_batch: r >= 2";
-  let lay = layout cfg in
-  let pdim = 1 lsl proof_qubits cfg in
-  let init = basis_proof_batch ~pre:x_state ~pdim ~coin_dim:(1 lsl (r - 1)) in
-  let s = ref (Pure.batch_of_global lay init) in
-  for j = 1 to r - 1 do
-    let c = Printf.sprintf "C%d" j in
-    s := Pure.apply_on_batch !s [ c ] Gates.hadamard;
-    s :=
-      Pure.controlled_swap_batch !s ~control:c (Printf.sprintf "R%d0" j)
-        (Printf.sprintf "R%d1" j)
-  done;
-  s := Pure.project_sym_batch !s [ "L"; "R10" ];
-  for j = 1 to r - 2 do
-    s :=
-      Pure.project_sym_batch !s
-        [ Printf.sprintf "R%d1" j; Printf.sprintf "R%d0" (j + 1) ]
-  done;
-  s :=
-    Pure.apply_on_batch !s
-      [ Printf.sprintf "R%d1" (r - 1) ]
-      (Mat.of_vec y_state);
-  !s
+(* [<v|_X Pi_sym(X, R) |v>_X = (I + |v><v|) / 2] on [R]: a SWAP test
+   against a fixed state, seen from the other register. *)
+let swap_test_against v =
+  Mat.scale (Cx.re 0.5) (Mat.add (Mat.identity (Vec.dim v)) (Mat.of_vec v))
 
+(* Every projection acts on its own register pair and the coins
+   marginalise to a swap twirl, so the acceptance form is
+   [2^-(r-1) sum_s S_s K S_s] with
+   [K = (I + |x><x|)/2 (x) Pi_sym^(r-2) (x) |y><y|] on the proof
+   registers grouped [(R10)(R11 R20)...(R(r-1)1)]. *)
 let attack_gram cfg ~x_state ~y_state =
-  Batch.gram (Pure.batch_data (final_state_batch cfg ~x_state ~y_state))
+  if cfg.r < 2 then invalid_arg "Exact.attack_gram: r >= 2";
+  Qdp_obs.section "exact.attack_gram" @@ fun () ->
+  let d = 1 lsl cfg.qubits in
+  let sym = Symmetric.projector ~d ~k:2 in
+  let k =
+    Mat.tensor_list
+      ((swap_test_against x_state :: List.init (cfg.r - 2) (fun _ -> sym))
+      @ [ Mat.of_vec y_state ])
+  in
+  swap_twirl ~pairs:(cfg.r - 1) ~width:cfg.qubits k
 
 let product_proof cfg pairs =
   if Array.length pairs <> cfg.r - 1 then
@@ -162,25 +180,29 @@ let star_final_state cfg ~root_state ~leaf_states ~proof =
 let star_accept_prob cfg ~root_state ~leaf_states ~proof =
   Pure.norm2 (star_final_state cfg ~root_state ~leaf_states ~proof)
 
-let star_final_state_batch cfg ~root_state ~leaf_states =
+(* The star's form is the same twirl with one coin:
+   [K = M (x) (I + |root><root|) / 2] on [(R0, R1)], where
+   [M_ab = <Pi (a (x) leaves), Pi (b (x) leaves)>] for the permutation
+   test [Pi] on R0 and the leaves. *)
+let star_attack_gram cfg ~root_state ~leaf_states =
   if Array.length leaf_states <> cfg.t - 1 then
     invalid_arg "Exact.star_accept_prob: need t - 1 leaf states";
-  let lay = star_layout cfg in
-  let pdim = 1 lsl (2 * cfg.star_qubits) in
-  let pre = Vec.tensor_list (root_state :: Array.to_list leaf_states) in
-  let init = basis_proof_batch ~pre ~pdim ~coin_dim:2 in
-  let s = ref (Pure.batch_of_global lay init) in
-  s := Pure.apply_on_batch !s [ "C" ] Gates.hadamard;
-  s := Pure.controlled_swap_batch !s ~control:"C" "R0" "R1";
-  s :=
-    Pure.project_sym_batch !s
-      ("R0" :: List.init (cfg.t - 1) (fun i -> Printf.sprintf "L%d" (i + 1)));
-  s := Pure.project_sym_batch !s [ "X"; "R1" ];
-  !s
-
-let star_attack_gram cfg ~root_state ~leaf_states =
-  Batch.gram
-    (Pure.batch_data (star_final_state_batch cfg ~root_state ~leaf_states))
+  Qdp_obs.section "exact.star_attack_gram" @@ fun () ->
+  let b = cfg.star_qubits in
+  let d = 1 lsl b in
+  let names =
+    "R0" :: List.init (cfg.t - 1) (fun i -> Printf.sprintf "L%d" (i + 1))
+  in
+  let lay = Pure.layout (List.map (fun n -> (n, b)) names) in
+  let projected =
+    Array.init d (fun a ->
+        Pure.project_sym
+          (Pure.of_global lay
+             (Vec.tensor_list (Vec.basis d a :: Array.to_list leaf_states)))
+          names)
+  in
+  let m = Mat.init d d (fun a a' -> Pure.inner projected.(a) projected.(a')) in
+  swap_twirl ~pairs:1 ~width:b (Mat.tensor m (swap_test_against root_state))
 
 let optimal_entangled_star_attack cfg ~root_state ~leaf_states =
   let gram = star_attack_gram cfg ~root_state ~leaf_states in

@@ -48,11 +48,18 @@ val accept_prob : config -> x_state:Vec.t -> y_state:Vec.t -> proof:Vec.t -> flo
 (** [attack_gram cfg ~x_state ~y_state] is the acceptance form
     [V^dagger V] of the protocol on the proof space
     ([2^(proof_qubits cfg)] square): entry [(p, q)] is the inner
-    product of the final states for basis proofs [|p>] and [|q>].  All
-    basis proofs run as one column batch through the batched circuit
-    kernels and the Gram matrix is one blocked {!Batch.gram} sweep.
-    The quadratic form [<xi| G |xi>] is the acceptance probability of
-    proof [|xi>]. *)
+    product of the final states for basis proofs [|p>] and [|q>], so
+    the quadratic form [<xi| G |xi>] is the acceptance probability of
+    proof [|xi>].  It is built in proof space, with no circuit run:
+    after the controlled swaps the coins are never touched, so each
+    node's coin marginalises to a swap twirl, and every projection acts
+    on its own register pair.  Hence
+    [G[p, q] = 2^-(r-1) sum_s K[sigma_s p, sigma_s q]] with
+    [K = A (x) Pi_sym^(r-2) (x) |y><y|] on the proof registers grouped
+    [(R10)(R11 R20)...(R(r-1)1)], [A = (I + |x><x|)/2 =
+    <x|_L Pi_sym(L, R10) |x>_L], and [sigma_s] swapping the contents of
+    [Rj0] and [Rj1] for every bit [j] set in [s].
+    @raise Invalid_argument when [r < 2]. *)
 val attack_gram : config -> x_state:Vec.t -> y_state:Vec.t -> Mat.t
 
 (** [product_proof cfg pairs] assembles the product proof
@@ -103,8 +110,12 @@ val star_accept_prob :
   star_config -> root_state:Vec.t -> leaf_states:Vec.t array -> proof:Vec.t -> float
 
 (** [star_attack_gram cfg ~root_state ~leaf_states] is the acceptance
-    form on the two-register proof space, computed by the batched
-    pipeline (see {!attack_gram}). *)
+    form on the two-register proof space, built the same way as
+    {!attack_gram} with one coin: [G = (K + SWAP K SWAP) / 2] with
+    [K = M (x) (I + |root><root|)/2] on [(R0, R1)], where
+    [M_ab = <Pi (a (x) leaves), Pi (b (x) leaves)>] for the permutation
+    test [Pi] on R0 and the leaf registers.
+    @raise Invalid_argument unless [Array.length leaf_states = t - 1]. *)
 val star_attack_gram :
   star_config -> root_state:Vec.t -> leaf_states:Vec.t array -> Mat.t
 

@@ -11,8 +11,11 @@ let make code = { code }
    domains, so every lookup/insert holds [cache_lock]; the code
    construction itself runs unlocked (two domains racing on a fresh
    key both build the same code, and the loser adopts the winner's
-   copy).  At the size cap one arbitrary binding is evicted, not the
-   whole table, so hot keys survive a sweep over many cold ones. *)
+   copy).  A miss is counted only by the call that inserts, and a
+   racing loser counts as a hit, so the counts do not depend on timing:
+   misses are insertions, and hits + misses are calls.  At the size cap
+   one arbitrary binding is evicted, not the whole table, so hot keys
+   survive a sweep over many cold ones. *)
 let cache_hits = Qdp_obs.Metrics.counter "fingerprint.cache.hits"
 let cache_misses = Qdp_obs.Metrics.counter "fingerprint.cache.misses"
 let cache_lock = Mutex.create ()
@@ -34,19 +37,19 @@ let standard ~seed ~n =
       fp
   | None ->
       Mutex.unlock cache_lock;
-      Qdp_obs.Metrics.incr cache_misses;
       let fp = { code = Linear_code.random ~seed ~n ~m:(8 * n) } in
       Mutex.lock cache_lock;
-      let fp =
+      let fp, counter =
         match Hashtbl.find_opt standard_cache key with
-        | Some racing_winner -> racing_winner
+        | Some racing_winner -> (racing_winner, cache_hits)
         | None ->
             if Hashtbl.length standard_cache >= standard_cache_limit then
               evict_one ();
             Hashtbl.add standard_cache key fp;
-            fp
+            (fp, cache_misses)
       in
       Mutex.unlock cache_lock;
+      Qdp_obs.Metrics.incr counter;
       fp
 
 let code fp = fp.code

@@ -1,9 +1,9 @@
 (* A column batch stores [count] vectors of dimension [dim] row-major
    by vector index: entry (g, c) lives at [g * count + c], so one "row"
-   holds entry [g] of every column contiguously.  Linear maps applied
-   to all columns therefore move whole rows (blits and fused
-   multiply-adds over [count] floats), and the Gram kernel streams the
-   batch once per output tile instead of once per output entry.
+   holds entry [g] of every column contiguously.  A linear map applied
+   to all columns runs fused multiply-adds over whole rows of [count]
+   floats, and the Gram kernel streams the batch once per output tile
+   instead of once per output entry.
 
    Storage is unboxed Bigarray float64 (shared [Mat.farr] type); the
    hot kernels use unchecked accesses with bounds derived from the
@@ -34,42 +34,16 @@ let raw_im b = b.im
 let get b g c =
   { Complex.re = b.re.{(g * b.count) + c}; im = b.im.{(g * b.count) + c} }
 
-let set b g c z =
-  b.re.{(g * b.count) + c} <- z.Complex.re;
-  b.im.{(g * b.count) + c} <- z.Complex.im
-
 let init dim count f =
   let b = create dim count in
   for g = 0 to dim - 1 do
     for c = 0 to count - 1 do
-      set b g c (f g c)
+      let z = f g c in
+      b.re.{(g * count) + c} <- z.Complex.re;
+      b.im.{(g * count) + c} <- z.Complex.im
     done
   done;
   b
-
-let copy b =
-  let c = create b.dim b.count in
-  Bigarray.Array1.blit b.re c.re;
-  Bigarray.Array1.blit b.im c.im;
-  c
-
-let blit_row src sg dst dg =
-  let n = src.count in
-  if n <> dst.count then invalid_arg "Batch.blit_row: column count mismatch";
-  let sbase = sg * n and dbase = dg * n in
-  for c = 0 to n - 1 do
-    uset dst.re (dbase + c) (uget src.re (sbase + c));
-    uset dst.im (dbase + c) (uget src.im (sbase + c))
-  done
-
-let accumulate_row src sg dst dg =
-  let n = src.count in
-  if n <> dst.count then invalid_arg "Batch.accumulate_row: column count mismatch";
-  let sbase = sg * n and dbase = dg * n in
-  for c = 0 to n - 1 do
-    uset dst.re (dbase + c) (uget dst.re (dbase + c) +. uget src.re (sbase + c));
-    uset dst.im (dbase + c) (uget dst.im (dbase + c) +. uget src.im (sbase + c))
-  done
 
 let of_cols cols =
   let n = Array.length cols in
@@ -98,12 +72,6 @@ let col b c =
     vi.(g) <- b.im.{(g * b.count) + c}
   done;
   v
-
-let scale_real_inplace alpha b =
-  for k = 0 to (b.dim * b.count) - 1 do
-    uset b.re k (alpha *. uget b.re k);
-    uset b.im k (alpha *. uget b.im k)
-  done
 
 let equal ?(eps = 1e-9) a b =
   a.dim = b.dim && a.count = b.count

@@ -3,12 +3,14 @@
     entry [g] of column [c] and lives next to the other columns' entry
     [g]).
 
-    The layout is chosen for the simulator's batched pipelines: a
-    linear map applied to every column at once moves contiguous rows
-    ([Array.blit] gathers, fused multiply-adds over [count] floats),
-    and the Gram kernel {!gram} streams the batch once per output tile
-    with the result tile hot in cache, instead of re-reading two full
-    vectors per output entry. *)
+    A linear map applied to every column at once runs fused
+    multiply-adds over contiguous rows of [count] floats, and the Gram
+    kernel {!gram} streams the batch once per output tile with the
+    result tile hot in cache, instead of re-reading two full vectors
+    per output entry.  No library pipeline uses batches any more (the
+    exact acceptance forms are built in proof space, see
+    {!Qdp_core.Exact}); the kernels stay as priced primitives for the
+    benchmark probes. *)
 
 type t
 
@@ -24,17 +26,12 @@ val dim : t -> int
 
 val count : t -> int
 
-(** [get b g c] / [set b g c z] access entry [g] of column [c]. *)
+(** [get b g c] is entry [g] of column [c]. *)
 val get : t -> int -> int -> Cx.t
-
-val set : t -> int -> int -> Cx.t -> unit
 
 (** [init dim count f] builds the batch with entry [(g, c)] equal to
     [f g c]. *)
 val init : int -> int -> (int -> int -> Cx.t) -> t
-
-(** [copy b] is a fresh batch equal to [b]. *)
-val copy : t -> t
 
 (** [of_cols vs] packs an array of equal-dimension vectors as columns.
     @raise Invalid_argument on an empty array or ragged dimensions. *)
@@ -43,22 +40,9 @@ val of_cols : Vec.t array -> t
 (** [col b c] extracts column [c] as a fresh vector. *)
 val col : t -> int -> Vec.t
 
-(** [scale_real_inplace alpha b] multiplies every entry by the real
-    scalar [alpha], in place. *)
-val scale_real_inplace : float -> t -> unit
-
 (** [equal ?eps a b] holds when shapes match and entries agree within
     [eps] (default [1e-9]). *)
 val equal : ?eps:float -> t -> t -> bool
-
-(** [blit_row src g dst g'] copies row [g] of [src] (entry [g] of
-    every column) over row [g'] of [dst]; [accumulate_row] adds it
-    instead.  The allocation-free primitives behind the batched
-    simulator's index remaps and fused symmetrizer.
-    @raise Invalid_argument on column-count mismatch. *)
-val blit_row : t -> int -> t -> int -> unit
-
-val accumulate_row : t -> int -> t -> int -> unit
 
 (** [apply_into m ~src ~dst] overwrites [dst] with [m] applied to every
     column of [src] — a GEMM over the batch that allocates nothing, so

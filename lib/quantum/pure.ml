@@ -115,26 +115,16 @@ let rest_positions total positions =
   List.iter (fun p -> selected.(p) <- true) positions;
   List.filter (fun p -> not selected.(p)) (List.init total (fun p -> p))
 
-(* Shared shape of the single-state and batched local-operator
-   kernels: the scatter tables for the selected positions and their
-   complement. *)
-let local_op_tables lay positions k m =
-  if Mat.rows m <> 1 lsl k || Mat.cols m <> 1 lsl k then
-    invalid_arg "Pure.apply_on: operator dimension mismatch";
-  let total = lay.total in
-  let sel_scatter = scatter total positions in
-  let rest = rest_positions total positions in
-  let rest_scatter = scatter total rest in
-  let subdim = 1 lsl k in
-  let sel_index = Array.init subdim sel_scatter in
-  (sel_index, rest_scatter, subdim, 1 lsl List.length rest)
-
 let apply_on s names m =
   let positions = positions_of_names s.lay names in
   let k = List.length positions in
-  let sel_index, rest_scatter, subdim, restdim =
-    local_op_tables s.lay positions k m
-  in
+  if Mat.rows m <> 1 lsl k || Mat.cols m <> 1 lsl k then
+    invalid_arg "Pure.apply_on: operator dimension mismatch";
+  let total = s.lay.total in
+  let rest = rest_positions total positions in
+  let rest_scatter = scatter total rest in
+  let subdim = 1 lsl k and restdim = 1 lsl List.length rest in
+  let sel_index = Array.init subdim (scatter total positions) in
   let out = Vec.create (Vec.dim s.vec) in
   (* One gather buffer and one result buffer, reused across every
      rest-subspace iteration — the kernel allocates nothing inside the
@@ -303,101 +293,6 @@ let measure st s name =
     end
   done;
   (!outcome, normalize { s with vec = out })
-
-(* ------------------------------------------------------------------ *)
-(* Batched execution: a [2^total x count] column batch pushed through  *)
-(* the same circuit in one blocked sweep.  The batch layout keeps      *)
-(* entry [g] of every column contiguous, so every index remap is an    *)
-(* [Array.blit] of [count] floats and the local-operator kernel is a   *)
-(* GEMM over a reused [subdim x count] scratch pair.  All kernels      *)
-(* compute each output cell with a fixed accumulation order, so the    *)
-(* results are bit-identical at every job count.                       *)
-(* ------------------------------------------------------------------ *)
-
-type batch = { blay : layout; data : Batch.t }
-
-let batch_of_global l b =
-  if Batch.dim b <> 1 lsl l.total then invalid_arg "Pure.batch_of_global: dimension";
-  { blay = l; data = b }
-
-let batch_of_states l states =
-  match states with
-  | [] -> invalid_arg "Pure.batch_of_states: empty"
-  | s0 :: rest ->
-      List.iter
-        (fun s ->
-          if s.lay != l && s.lay <> l then
-            invalid_arg "Pure.batch_of_states: layout mismatch")
-        (s0 :: rest);
-      {
-        blay = l;
-        data = Batch.of_cols (Array.of_list (List.map global_vector states));
-      }
-
-let batch_layout b = b.blay
-let batch_data b = b.data
-let batch_count b = Batch.count b.data
-let batch_column b c = { lay = b.blay; vec = Batch.col b.data c }
-
-(* Remap rows of the batch along an index map [g -> g']; the map must
-   be injective (a permutation of the basis), as for register
-   permutations and controlled swaps. *)
-let remap_batch b map =
-  let count = Batch.count b.data in
-  let dim = Batch.dim b.data in
-  let out = Batch.create dim count in
-  for g = 0 to dim - 1 do
-    Batch.blit_row b.data g out (map g)
-  done;
-  { b with data = out }
-
-let apply_on_batch b names m =
-  let positions = positions_of_names b.blay names in
-  let k = List.length positions in
-  let sel_index, rest_scatter, subdim, restdim =
-    local_op_tables b.blay positions k m
-  in
-  let count = Batch.count b.data in
-  let dim = Batch.dim b.data in
-  let out = Batch.create dim count in
-  let sub = Batch.create subdim count and res = Batch.create subdim count in
-  for rv = 0 to restdim - 1 do
-    let base = rest_scatter rv in
-    for a = 0 to subdim - 1 do
-      Batch.blit_row b.data (base lor sel_index.(a)) sub a
-    done;
-    Batch.apply_into m ~src:sub ~dst:res;
-    for a = 0 to subdim - 1 do
-      Batch.blit_row res a out (base lor sel_index.(a))
-    done
-  done;
-  { b with data = out }
-
-let permute_registers_batch b names pi =
-  remap_batch b (perm_index_map (perm_slots b.blay names) pi)
-
-let controlled_swap_batch b ~control x y =
-  remap_batch b (cswap_index_map b.blay ~control x y)
-
-(* Fused batched symmetrizer: every permutation accumulates row-adds
-   into the single output batch. *)
-let project_sym_batch b names =
-  let arr = Array.of_list names in
-  let ms = perm_slots b.blay arr in
-  let perms = Symmetric.permutations (Array.length arr) in
-  let fact = float_of_int (List.length perms) in
-  let count = Batch.count b.data in
-  let dim = Batch.dim b.data in
-  let acc = Batch.create dim count in
-  List.iter
-    (fun pi ->
-      let map = perm_index_map ms pi in
-      for g = 0 to dim - 1 do
-        Batch.accumulate_row b.data g acc (map g)
-      done)
-    perms;
-  Batch.scale_real_inplace (1. /. fact) acc;
-  { b with data = acc }
 
 let reduced_density s names =
   let total = s.lay.total in

@@ -106,55 +106,3 @@ val measure : Random.State.t -> t -> string -> int * t
     listed registers (partial trace over everything else), of dimension
     [2^k x 2^k]. *)
 val reduced_density : t -> string list -> Mat.t
-
-(** {2 Batched execution}
-
-    A batch is [count] global states over the same layout pushed
-    through the circuit together — the map proof [->] final state is
-    linear, so running all basis proofs as one [2^total x count]
-    column batch replaces [count] full circuit passes (and their
-    per-pass temporaries) with one blocked sweep of blits and batched
-    GEMMs.  Every kernel computes each output cell with a fixed
-    accumulation order, so results are bit-identical at every [--jobs]
-    value. *)
-
-type batch
-
-(** [batch_of_global l b] wraps a column batch of dimension
-    [2^(total_qubits l)] — each column an (arbitrary, possibly
-    entangled) global state.
-    @raise Invalid_argument on dimension mismatch. *)
-val batch_of_global : layout -> Batch.t -> batch
-
-(** [batch_of_states l states] packs single states over layout [l] as
-    the columns of a batch.
-    @raise Invalid_argument on an empty list or a layout mismatch. *)
-val batch_of_states : layout -> t list -> batch
-
-(** [batch_layout b] / [batch_data b] / [batch_count b] expose the
-    layout, the underlying column batch, and the column count. *)
-val batch_layout : batch -> layout
-
-val batch_data : batch -> Batch.t
-val batch_count : batch -> int
-
-(** [batch_column b c] extracts column [c] as a single state. *)
-val batch_column : batch -> int -> t
-
-(** [apply_on_batch b names m] is {!apply_on} on every column at once:
-    rows of the batch are gathered per rest-subspace value into a
-    reused [2^k x count] scratch pair and multiplied as one GEMM. *)
-val apply_on_batch : batch -> string list -> Mat.t -> batch
-
-(** [permute_registers_batch b names pi] is {!permute_registers} on
-    every column (contiguous row blits). *)
-val permute_registers_batch : batch -> string array -> int array -> batch
-
-(** [controlled_swap_batch b ~control a b'] is {!controlled_swap} on
-    every column. *)
-val controlled_swap_batch : batch -> control:string -> string -> string -> batch
-
-(** [project_sym_batch b names] is {!project_sym} on every column,
-    fused: all [k!] permutations accumulate into a single output batch
-    instead of materializing [k!] full-dimension temporaries. *)
-val project_sym_batch : batch -> string list -> batch

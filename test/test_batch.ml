@@ -1,11 +1,11 @@
-(* Tests for the batched linear-operator layer: Batch.gram and
-   Batch.apply_into against the per-column reference path, the batched
-   Pure kernels against their scalar counterparts, the fused
-   symmetric projection against the naive permutation average, the
-   quad_minor/quad_major contractions against the boxed quadruple
-   loops they replaced, and jobs=1 vs jobs=4 byte-identity of every
-   dense kernel (which never starts the domain pool) and of the whole
-   Gram-attack pipeline. *)
+(* Tests for the batched linear-operator layer and the exact acceptance
+   forms: Batch.gram and Batch.apply_into against the per-column
+   reference path, the fused symmetric projection against the naive
+   permutation average, the quad_minor/quad_major contractions against
+   the boxed quadruple loops they replaced, jobs=1 vs jobs=4
+   byte-identity of every dense kernel (which never starts the domain
+   pool) and of the attack Gram, and the proof-space acceptance forms
+   against the per-basis-proof Gram and the scalar circuit. *)
 
 open Qdp_linalg
 open Qdp_quantum
@@ -142,58 +142,7 @@ let test_apply_into_jobs_invariant () =
     (Batch.raw_re d1 = Batch.raw_re d4 && Batch.raw_im d1 = Batch.raw_im d4);
   check_pool_idle ()
 
-(* --- batched Pure kernels vs scalar --- *)
-
-let small_layout = Pure.layout [ ("A", 1); ("B", 2); ("C", 1) ]
-
-let random_pure_batch st lay n =
-  let dim = 1 lsl Pure.total_qubits lay in
-  Pure.batch_of_global lay (random_batch st dim n)
-
-let columns_match ?(eps = 1e-12) batch scalar_of_col =
-  let n = Pure.batch_count batch in
-  let ok = ref true in
-  for c = 0 to n - 1 do
-    let got = Pure.global_vector (Pure.batch_column batch c) in
-    let expect = Pure.global_vector (scalar_of_col c) in
-    for g = 0 to Vec.dim got - 1 do
-      if Cx.abs (Cx.sub (Vec.get got g) (Vec.get expect g)) > eps then
-        ok := false
-    done
-  done;
-  !ok
-
-let prop_apply_on_batch =
-  QCheck.Test.make ~name:"apply_on_batch matches scalar apply_on"
-    ~count:40 QCheck.small_nat (fun seed ->
-      let st = Random.State.make [| seed; 0xab5 |] in
-      let b = random_pure_batch st small_layout 5 in
-      let m = random_mat st 4 4 in
-      let out = Pure.apply_on_batch b [ "B" ] m in
-      columns_match out (fun c ->
-          Pure.apply_on (Pure.batch_column b c) [ "B" ] m))
-
-let prop_controlled_swap_batch =
-  QCheck.Test.make ~name:"controlled_swap_batch matches scalar"
-    ~count:40 QCheck.small_nat (fun seed ->
-      let st = Random.State.make [| seed; 0xc5ab |] in
-      let lay = Pure.layout [ ("X", 1); ("Y", 1); ("K", 1) ] in
-      let b = random_pure_batch st lay 4 in
-      let out = Pure.controlled_swap_batch b ~control:"K" "X" "Y" in
-      columns_match out (fun c ->
-          Pure.controlled_swap (Pure.batch_column b c) ~control:"K" "X" "Y"))
-
-let prop_permute_batch =
-  QCheck.Test.make ~name:"permute_registers_batch matches scalar"
-    ~count:40 QCheck.small_nat (fun seed ->
-      let st = Random.State.make [| seed; 0x9e2 |] in
-      let lay = Pure.layout [ ("P", 1); ("Q", 1); ("R", 1) ] in
-      let b = random_pure_batch st lay 4 in
-      let names = [| "P"; "Q"; "R" |] in
-      let pi = [| 2; 0; 1 |] in
-      let out = Pure.permute_registers_batch b names pi in
-      columns_match out (fun c ->
-          Pure.permute_registers (Pure.batch_column b c) names pi))
+(* --- the fused symmetrizer --- *)
 
 (* naive symmetric projection: average the scalar permutation unitary
    over all k! permutations, materializing each term *)
@@ -227,16 +176,6 @@ let prop_project_sym_fused =
           ok := false
       done;
       !ok)
-
-let prop_project_sym_batch =
-  QCheck.Test.make ~name:"project_sym_batch matches scalar" ~count:40
-    QCheck.small_nat (fun seed ->
-      let st = Random.State.make [| seed; 0x33d |] in
-      let lay = Pure.layout [ ("U", 1); ("V", 1); ("T", 2) ] in
-      let b = random_pure_batch st lay 4 in
-      let out = Pure.project_sym_batch b [ "U"; "V" ] in
-      columns_match out (fun c ->
-          Pure.project_sym (Pure.batch_column b c) [ "U"; "V" ]))
 
 (* --- quad contractions vs the boxed quadruple loops --- *)
 
@@ -287,7 +226,7 @@ let prop_quad_contractions =
       mat_close (Mat.quad_minor g v) (naive_quad_minor g v)
       && mat_close (Mat.quad_major g u) (naive_quad_major g u))
 
-(* --- the Exact Gram-attack pipeline --- *)
+(* --- the Exact acceptance forms --- *)
 
 let naive_attack_gram cfg ~x_state ~y_state =
   let pdim = 1 lsl Exact.proof_qubits cfg in
@@ -308,15 +247,15 @@ let test_exact_gram_matches_naive () =
       let cfg = { Exact.r; qubits } in
       let x_state = Exact.toy_state ~qubits 1 in
       let y_state = Exact.toy_state ~qubits 2 in
-      let batched = Exact.attack_gram cfg ~x_state ~y_state in
+      let form = Exact.attack_gram cfg ~x_state ~y_state in
       let naive = naive_attack_gram cfg ~x_state ~y_state in
       Alcotest.(check bool)
         (Printf.sprintf "gram r=%d qubits=%d" r qubits)
         true
-        (mat_close batched naive);
+        (mat_close form naive);
       Alcotest.(check (float 1e-9))
         (Printf.sprintf "top eigenvalue r=%d qubits=%d" r qubits)
-        (top_eigenvalue naive) (top_eigenvalue batched))
+        (top_eigenvalue naive) (top_eigenvalue form))
     [ (2, 1); (3, 1); (2, 2) ]
 
 let test_exact_gram_jobs_invariant () =
@@ -340,9 +279,50 @@ let test_star_gram_matches_naive () =
              ~proof:(Vec.basis pdim i)))
   in
   let naive = Mat.init pdim pdim (fun i j -> Vec.dot outs.(i) outs.(j)) in
-  let batched = Exact.star_attack_gram cfg ~root_state ~leaf_states in
+  let form = Exact.star_attack_gram cfg ~root_state ~leaf_states in
   Alcotest.(check bool) "star gram matches naive" true
-    (mat_close batched naive)
+    (mat_close form naive)
+
+(* The acceptance form against the scalar circuit: over random complex
+   inputs and proofs, [<p|Q|p>] is the acceptance probability that
+   [final_state] / [star_final_state] give the same proof.  A form with
+   a conjugated entry or a dropped swap pattern fails these at once. *)
+let form_value g p = Vec.dot p (Mat.apply g p)
+
+let form_matches ~eps value prob =
+  Float.abs (value.Complex.re -. prob) <= eps
+  && Float.abs value.Complex.im <= eps
+
+let prop_path_form_is_accept_prob =
+  QCheck.Test.make ~name:"path form <p|Q|p> = accept_prob" ~count:60
+    QCheck.(pair small_nat small_nat)
+    (fun (seed, k) ->
+      let r, qubits =
+        List.nth [ (2, 1); (3, 1); (4, 1); (5, 1); (2, 2); (3, 2) ] (k mod 6)
+      in
+      let cfg = { Exact.r; qubits } in
+      let st = Random.State.make [| seed; k; 0xf0a |] in
+      let x_state = States.random_unit st (1 lsl qubits) in
+      let y_state = States.random_unit st (1 lsl qubits) in
+      let proof = States.random_unit st (1 lsl Exact.proof_qubits cfg) in
+      form_matches ~eps:1e-10
+        (form_value (Exact.attack_gram cfg ~x_state ~y_state) proof)
+        (Exact.accept_prob cfg ~x_state ~y_state ~proof))
+
+let prop_star_form_is_accept_prob =
+  QCheck.Test.make ~name:"star form <p|Q|p> = star_accept_prob" ~count:60
+    QCheck.(pair small_nat small_nat)
+    (fun (seed, k) ->
+      let t = 2 + (k mod 3) and star_qubits = 1 + (k / 3 mod 2) in
+      let cfg = { Exact.t; star_qubits } in
+      let st = Random.State.make [| seed; k; 0x57a |] in
+      let d = 1 lsl star_qubits in
+      let root_state = States.random_unit st d in
+      let leaf_states = Array.init (t - 1) (fun _ -> States.random_unit st d) in
+      let proof = States.random_unit st (d * d) in
+      form_matches ~eps:1e-10
+        (form_value (Exact.star_attack_gram cfg ~root_state ~leaf_states) proof)
+        (Exact.star_accept_prob cfg ~root_state ~leaf_states ~proof))
 
 (* --- error reporting --- *)
 
@@ -361,11 +341,7 @@ let () =
           [
             prop_gram_matches_naive;
             prop_apply_into_matches_apply;
-            prop_apply_on_batch;
-            prop_controlled_swap_batch;
-            prop_permute_batch;
             prop_project_sym_fused;
-            prop_project_sym_batch;
             prop_quad_contractions;
           ] );
       ( "determinism",
@@ -387,7 +363,9 @@ let () =
             test_exact_gram_matches_naive;
           Alcotest.test_case "star gram matches naive" `Quick
             test_star_gram_matches_naive;
-        ] );
+        ]
+        @ List.map QCheck_alcotest.to_alcotest
+            [ prop_path_form_is_accept_prob; prop_star_form_is_accept_prob ] );
       ( "errors",
         [
           Alcotest.test_case "unknown register" `Quick

@@ -171,26 +171,63 @@ let test_xval_jobs_invariant () =
 
 (* --- fingerprint memo hammered from 4 domains --- *)
 
-let test_fingerprint_hammer () =
-  with_jobs 1 (fun () ->
-      (* raw domains on purpose: bypass the pool so the cache sees
-         genuinely concurrent find/add/evict traffic *)
-      (* key space (300 seeds x 3 sizes) exceeds the 512-entry cap, so
-         the single-binding eviction path runs under contention too *)
-      let worker d () =
-        for i = 0 to 399 do
-          let seed = 1000 + (((7 * i) + d) mod 300) in
-          let n = 8 + (4 * ((i + d) mod 3)) in
-          let fp = Qdp_fingerprint.Fingerprint.standard ~seed ~n in
-          let fp' = Qdp_fingerprint.Fingerprint.standard ~seed ~n in
-          if
-            Qdp_fingerprint.Fingerprint.input_bits fp <> n
-            || Qdp_fingerprint.Fingerprint.input_bits fp' <> n
-          then failwith "bad fingerprint from concurrent cache"
-        done
-      in
+let cache_counts () =
+  let snap = Qdp_obs.Metrics.snapshot () in
+  let get name =
+    match Qdp_obs.Metrics.find snap name with
+    | Some (Qdp_obs.Metrics.Counter_v v) -> v
+    | _ -> 0
+  in
+  (get "fingerprint.cache.hits", get "fingerprint.cache.misses")
+
+(* Runs [worker d] on 4 raw domains (bypassing the pool, so the cache
+   sees genuinely concurrent find/add/evict traffic) and returns the
+   growth of the (hits, misses) counters. *)
+let hammer worker =
+  Qdp_obs.with_enabled true (fun () ->
+      let h0, m0 = cache_counts () in
       let domains = List.init 4 (fun d -> Domain.spawn (worker d)) in
       List.iter Domain.join domains;
+      let h1, m1 = cache_counts () in
+      (h1 - h0, m1 - m0))
+
+let test_fingerprint_hammer () =
+  with_jobs 1 (fun () ->
+      let check_fp fp n =
+        if Qdp_fingerprint.Fingerprint.input_bits fp <> n then
+          failwith "bad fingerprint from concurrent cache"
+      in
+      (* 40 fresh keys, far below the 512-entry cap, each requested 3
+         times by every domain in a domain-specific order: the losers
+         of a race count as hits, so misses are exactly the distinct
+         keys whatever the interleaving *)
+      let keys = 40 and rounds = 3 in
+      let hits, misses =
+        hammer (fun d () ->
+            for i = 0 to (rounds * keys) - 1 do
+              let seed = 5000 + (((7 * i) + (11 * d)) mod keys) in
+              check_fp (Qdp_fingerprint.Fingerprint.standard ~seed ~n:8) 8
+            done)
+      in
+      Alcotest.(check int) "misses = distinct keys" keys misses;
+      Alcotest.(check int) "hits = calls - misses"
+        ((4 * rounds * keys) - keys)
+        hits;
+      (* key space (300 seeds x 3 sizes) exceeds the 512-entry cap, so
+         the single-binding eviction path runs under contention too *)
+      let hits, misses =
+        hammer (fun d () ->
+            for i = 0 to 399 do
+              let seed = 1000 + (((7 * i) + d) mod 300) in
+              let n = 8 + (4 * ((i + d) mod 3)) in
+              let fp = Qdp_fingerprint.Fingerprint.standard ~seed ~n in
+              let fp' = Qdp_fingerprint.Fingerprint.standard ~seed ~n in
+              check_fp fp n;
+              check_fp fp' n
+            done)
+      in
+      Alcotest.(check int) "hits + misses = calls" (4 * 400 * 2)
+        (hits + misses);
       let a = Qdp_fingerprint.Fingerprint.standard ~seed:1000 ~n:8 in
       let b = Qdp_fingerprint.Fingerprint.standard ~seed:1000 ~n:8 in
       Alcotest.(check bool) "cache still memoizes" true (a == b))

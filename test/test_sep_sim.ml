@@ -83,6 +83,51 @@ let test_hierarchy () =
       (sep <= global +. 1e-7)
   done
 
+(* The same chain over random complex inputs, not only the fixed toy
+   pair.  The coordinate ascent can stop in a local optimum below the
+   geodesic product attack, so the node-entangled value is the best of
+   the optimizer and that product proof as the Sep_sim engine scores
+   it; the engine must score it as Exact does. *)
+let prop_hierarchy_random_states =
+  QCheck.Test.make ~name:"proof-class hierarchy over random states"
+    ~count:40
+    QCheck.(pair small_nat small_nat)
+    (fun (seed, k) ->
+      let r, qubits =
+        List.nth [ (2, 1); (3, 1); (4, 1); (2, 2); (3, 2) ] (k mod 5)
+      in
+      let d = 1 lsl qubits in
+      let st = Random.State.make [| seed; k; 0x41e |] in
+      let x_state = States.random_unit st d in
+      let y_state = States.random_unit st d in
+      let final = Mat.of_vec y_state in
+      let cfg = { Exact.r; qubits } in
+      let product = Exact.best_product_attack cfg ~x_state ~y_state in
+      let states =
+        Array.init (r - 1) (fun i ->
+            States.geodesic x_state y_state
+              (float_of_int (i + 1) /. float_of_int r))
+      in
+      let product_in_sep =
+        Sep_sim.accept
+          (Sep_sim.product_instance ~d ~left:x_state ~states ~final)
+      in
+      let _, optimized =
+        Sep_sim.optimize st ~d ~r ~left:x_state ~final ~sweeps:12
+      in
+      let sep = Float.max optimized product_in_sep in
+      let global, _ = Exact.optimal_entangled_attack cfg ~x_state ~y_state in
+      if
+        Float.abs (product -. product_in_sep) <= 1e-10
+        && product <= sep +. 1e-7
+        && sep <= global +. 1e-7
+        && global <= 1. +. 1e-9
+      then true
+      else
+        QCheck.Test.fail_reportf
+          "r=%d q=%d: product %.9f (sep engine %.9f), sep %.9f, global %.9f"
+          r qubits product product_in_sep sep global)
+
 let test_optimizer_returns_consistent_value () =
   let x_state = toy 2 and y_state = toy 9 in
   let st = Random.State.make [| 13 |] in
@@ -166,5 +211,6 @@ let () =
           Alcotest.test_case "optimized product attack" `Quick
             test_optimized_product_attack;
           Alcotest.test_case "dimension checks" `Quick test_dimension_checks;
+          QCheck_alcotest.to_alcotest prop_hierarchy_random_states;
         ] );
     ]
