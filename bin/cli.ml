@@ -61,10 +61,28 @@ let workers_arg =
            hang and corruption recovery with retry/backoff — and results \
            are byte-identical to $(b,--workers 0) at every value.")
 
+(* A float flag whose value must pass [ok]: a bad value is a usage
+   error here, not an [Invalid_argument] from the setter mid-run (and
+   NaN, which fails every comparison, cannot slip past a [<= 0] test
+   as "disabled"). *)
+let float_where ok ~expected =
+  let parse s =
+    match Arg.conv_parser Arg.float s with
+    | Ok v when not (ok v) ->
+        Error (`Msg (Printf.sprintf "expected %s, got %s" expected s))
+    | r -> r
+  in
+  Arg.conv (parse, Arg.conv_printer Arg.float)
+
 let timeout_arg =
   Arg.(
     value
-    & opt (some float) None
+    & opt
+        (some
+           (float_where
+              (fun t -> not (Float.is_nan t))
+              ~expected:"a number of seconds"))
+        None
     & info [ "timeout" ] ~docv:"SECONDS"
         ~doc:
           "Deadline for one protocol execution and for one worker shard \
@@ -76,7 +94,12 @@ let timeout_arg =
 let chaos_arg =
   Arg.(
     value
-    & opt (some float) None
+    & opt
+        (some
+           (float_where
+              (fun p -> p >= 0. && p <= 1.)
+              ~expected:"a probability in [0, 1]"))
+        None
     & info [ "chaos" ] ~docv:"P"
         ~doc:
           "Chaos injection probability (default: $(b,QDP_CHAOS) or 0).  \

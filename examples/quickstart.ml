@@ -5,6 +5,7 @@
    Run with: dune exec examples/quickstart.exe *)
 
 open Qdp_codes
+open Qdp_network
 open Qdp_core
 
 let () =
@@ -40,15 +41,18 @@ let () =
 
   (* The same protocol as a real message-passing execution on the
      network runtime: fingerprints travel as messages, SWAP tests are
-     sampled, verdicts come back per node. *)
+     sampled, verdicts come back per node.  [prepare] builds the
+     instance's states once; each trial only draws the verifier's
+     coins. *)
   let rt = { Runtime_eq.n; r; seed = 7; repetitions = 1 } in
   let st = Random.State.make [| 99 |] in
-  let freq_equal =
-    Runtime_eq.estimate_acceptance st ~trials:2000 rt x (Gf2.copy x) Strategy.All_left
+  let frequency x y strategy =
+    let run = Runtime_eq.prepare rt x y strategy in
+    Runtime.estimate_acceptance ~st ~trials:2000 (fun st ->
+        fst (Runtime.accepted (run st)))
   in
-  let freq_diff =
-    Runtime_eq.estimate_acceptance st ~trials:2000 rt x y Strategy.Geodesic
-  in
+  let freq_equal = frequency x (Gf2.copy x) Strategy.All_left in
+  let freq_diff = frequency x y Strategy.Geodesic in
   Printf.printf "message-passing execution (2000 sampled runs each):\n";
   Printf.printf "  x = y honest:  accepted %.3f of runs\n" freq_equal;
   Printf.printf "  x <> y attack: accepted %.3f of runs (closed form %.3f)\n"

@@ -188,7 +188,11 @@ let dma_trivial ~n ~r =
     honest =
       (fun (x, y) -> if Gf2.equal x y then Some (Runtime_dma.Honest x) else None);
     accept =
-      (fun (x, y) p -> if fst (Runtime_dma.run ~r x y p) then 1.0 else 0.0);
+      (fun (x, y) p ->
+        (* the verifier is deterministic: the run reads no coin *)
+        let run = Runtime_dma.prepare ~r x y p in
+        if fst (Runtime.accepted (run (Random.State.make [||]))) then 1.0
+        else 0.0);
     attacks =
       (fun (x, y) ->
         [ ("write-x", Runtime_dma.Honest x); ("write-y", Runtime_dma.Honest y) ]);
@@ -353,16 +357,12 @@ let evaluate_packed (Packed (p, inst)) = (p.name, evaluate p inst)
 (* Backends and the differential harness                               *)
 (* ------------------------------------------------------------------ *)
 
-type ('i, 'p) network = 'i -> 'p -> Random.State.t -> bool
-
-type ('i, 'p) faulty_network =
+type ('i, 'p) backend =
   'i ->
   'p ->
+  ?faults:Fault_env.t ->
   Random.State.t ->
-  Fault_env.t ->
   Runtime.verdict array * Runtime.stats
-
-type ('i, 'p) backend = Analytic | Network of ('i, 'p) network
 
 let obs_crossval_checks = Qdp_obs.Metrics.counter "crossval.checks"
 
@@ -370,18 +370,6 @@ let obs_crossval_disagreements =
   Qdp_obs.Metrics.counter "crossval.disagreements"
 
 let obs_crossval_runs = Qdp_obs.Metrics.counter "crossval.network_runs"
-
-let backend_accept ?(trials = 2000) ~st backend p inst prover =
-  match backend with
-  | Analytic -> p.accept inst prover
-  | Network network ->
-      let run = network inst prover in
-      let hits =
-        Qdp_dist.monte_carlo_hits ~label:"xval" ~st ~trials (fun st ->
-            Qdp_obs.Metrics.incr obs_crossval_runs;
-            run st)
-      in
-      float_of_int hits /. float_of_int trials
 
 type check = {
   check_strategy : string;
@@ -392,7 +380,8 @@ type check = {
   agree : bool;
 }
 
-let cross_validate ?(trials = 2000) ?(z = 5.) ~st ~network p inst =
+let cross_validate ?(trials = 2000) ?(z = 5.) ~st ~(backend : (_, _) backend) p
+    inst =
   Qdp_obs.section "cross_validate"
     ~attrs:(fun () -> [ ("protocol", Qdp_obs.Trace.Str p.name) ])
   @@ fun () ->
@@ -421,12 +410,12 @@ let cross_validate ?(trials = 2000) ?(z = 5.) ~st ~network p inst =
          let analytic = p.accept inst prover in
          (* prepared once per strategy, on whichever domain or worker
             runs this shard; the trials only draw coins *)
-         let run = network inst prover in
+         let run = backend inst prover in
          let hits =
            Qdp_dist.monte_carlo_hits ~st:pst ~trials (fun st ->
                Qdp_obs.Metrics.incr obs_crossval_runs;
                Qdp_obs.Progress.step progress;
-               run st)
+               fst (Runtime.accepted (run st)))
          in
          let sampled = float_of_int hits /. float_of_int trials in
          (* a deterministic verdict (p in {0, 1}) must reproduce exactly;

@@ -154,43 +154,24 @@ val evaluate_packed : packed -> string * evaluation
     analytic path computes exactly. *)
 
 (** A network realization, staged: the partial application
-    [network inst prover] is the per-instance {e prepare} step (it
+    [backend inst prover] is the per-instance {e prepare} step (it
     builds fingerprints, chain states and graphs once and draws no
     randomness); applying the result to a [Random.State.t] is one
-    sampled run, [true] on accept, that only draws coins.  A prepared
-    closure reused for many trials gives the same verdicts as a fresh
-    preparation per trial, from the same state. *)
-type ('i, 'p) network = 'i -> 'p -> Random.State.t -> bool
-
-(** A fault-aware network realization, staged like {!network}: after
-    [faulty inst prover] has prepared the instance, each application
-    is one sampled run under a {!Fault_env.t}, returning the raw
-    per-node verdicts and stats so the fault layer ([Qdp_faults]) can
-    apply recovery semantics (timeout-as-reject, degraded verdicts of
-    the survivors, retry). *)
-type ('i, 'p) faulty_network =
+    sampled run that only draws coins and returns the raw per-node
+    verdicts and traffic stats.  A prepared closure reused for many
+    trials gives the same verdicts as a fresh preparation per trial,
+    from the same state.  Under [?faults] the run goes through the
+    fault environment's injector, so the fault layer ([Qdp_faults])
+    can apply its recovery semantics (timeout-as-reject, degraded
+    verdicts of the survivors, retry); a run under
+    {!Fault_env.perfect} gives the same global verdict as one with no
+    [?faults], from the same coins. *)
+type ('i, 'p) backend =
   'i ->
   'p ->
+  ?faults:Fault_env.t ->
   Random.State.t ->
-  Fault_env.t ->
   Runtime.verdict array * Runtime.stats
-
-(** How to obtain a single-repetition acceptance probability. *)
-type ('i, 'p) backend = Analytic | Network of ('i, 'p) network
-
-(** [backend_accept ?trials ~st backend p inst prover] is the
-    single-repetition acceptance under the chosen backend: exact for
-    [Analytic], a [trials]-sample frequency for [Network] (default
-    2000; the instance is prepared once, and each run increments the
-    [crossval.network_runs] counter). *)
-val backend_accept :
-  ?trials:int ->
-  st:Random.State.t ->
-  ('i, 'p) backend ->
-  ('i, 'p) protocol ->
-  'i ->
-  'p ->
-  float
 
 (** One analytic-vs-sampled comparison. *)
 type check = {
@@ -204,23 +185,24 @@ type check = {
   agree : bool;
 }
 
-(** [cross_validate ?trials ?z ~st ~network p inst] compares both
-    backends on the honest prover (when defined) and every
-    attack-library strategy.  Deterministic analytic verdicts must
-    reproduce to 1e-6; probabilistic ones must place the analytic value
-    inside the [z]-sigma (default 5) Wilson score interval of the
-    sampled frequency ({!Qdp_network.Runtime.wilson}).  Increments
+(** [cross_validate ?trials ?z ~st ~backend p inst] compares the
+    analytic acceptance with the sampled network realization on the
+    honest prover (when defined) and every attack-library strategy.
+    Deterministic analytic verdicts must reproduce to 1e-6;
+    probabilistic ones must place the analytic value inside the
+    [z]-sigma (default 5) Wilson score interval of the sampled
+    frequency ({!Qdp_network.Runtime.wilson}).  Increments
     [crossval.checks] and [crossval.disagreements].  Strategies are
     the shards of one [Qdp_dist.map_shards] grid, each sampling from an
     RNG state split off [st] in strategy order, so the check list is
     byte-identical at every [--jobs]/[--workers] value.  Each shard
     prepares its (instance, strategy) once and runs every trial on
-    the prepared closure. *)
+    the prepared closure, with no fault injector. *)
 val cross_validate :
   ?trials:int ->
   ?z:float ->
   st:Random.State.t ->
-  network:('i, 'p) network ->
+  backend:('i, 'p) backend ->
   ('i, 'p) protocol ->
   'i ->
   check list

@@ -4,33 +4,12 @@ open Qdp_codes
    [Registry.spec]; [demo_fix] pins the fields the historical demo
    suite used (so [tables.exe check] output is reproducible), and
    [demo] builds one yes and one no instance from the shared context.
-   Entries with a [network] field have a message-passing realization
-   the differential harness checks the analytic engine against. *)
+   Entries with a [backend] have a message-passing realization, staged
+   as [*_prepare spec inst prover]: the differential harness checks
+   the analytic engine against it, and the fault sweep runs it under
+   faults. *)
 
 let copy_pair a b = (Gf2.copy a, Gf2.copy b)
-
-(* A backend run, staged: [prepare spec inst prover] builds the
-   instance's states once and returns one trial, which only draws
-   coins.  Both runtime fields of an entry are views of it. *)
-type ('i, 'p) staged =
-  Registry.spec ->
-  'i ->
-  'p ->
-  ?faults:Fault_env.t ->
-  Random.State.t ->
-  Qdp_network.Runtime.verdict array * Qdp_network.Runtime.stats
-
-let network (prepare : ('i, 'p) staged) =
-  Some
-    (fun s inst prover ->
-      let run = prepare s inst prover in
-      fun st -> fst (Qdp_network.Runtime.accepted (run st)))
-
-let faulty (prepare : ('i, 'p) staged) =
-  Some
-    (fun s inst prover ->
-      let run = prepare s inst prover in
-      fun st env -> run ~faults:env st)
 
 let paper_reps (s : Registry.spec) = Eq_path.paper_repetitions ~r:s.r
 
@@ -54,8 +33,7 @@ let eq_entry =
       protocol = (fun s -> Dqma.eq_path (eq_params s));
       demo =
         (fun ctx -> (copy_pair ctx.x ctx.x, copy_pair ctx.x ctx.y));
-      network = network eq_prepare;
-      faulty = faulty eq_prepare;
+      backend = Some eq_prepare;
       quantum_links = true;
       conformance = true;
     }
@@ -92,8 +70,7 @@ let eqt_entry =
         (fun s -> { s with r = 2; repetitions = Some (paper_reps s) });
       protocol = (fun s -> Dqma.eq_tree (eqt_params s));
       demo = multi_of_ctx;
-      network = network eqt_prepare;
-      faulty = faulty eqt_prepare;
+      backend = Some eqt_prepare;
       quantum_links = true;
       conformance = true;
     }
@@ -118,8 +95,7 @@ let gt_entry =
       protocol = (fun s -> Dqma.gt (gt_params s));
       demo =
         (fun ctx -> (copy_pair ctx.big ctx.small, copy_pair ctx.small ctx.big));
-      network = network gt_prepare;
-      faulty = faulty gt_prepare;
+      backend = Some gt_prepare;
       quantum_links = true;
       conformance = true;
     }
@@ -138,8 +114,7 @@ let relay_entry =
       protocol =
         (fun s -> Dqma.relay (Relay.make ~seed:s.seed ~n:s.n ~r:s.r ()));
       demo = (fun ctx -> (copy_pair ctx.x ctx.x, copy_pair ctx.x ctx.y));
-      network = None;
-      faulty = None;
+      backend = None;
       quantum_links = false;
       conformance = true;
     }
@@ -161,8 +136,7 @@ let dqcma_entry =
             (Variants.make ?repetitions:s.repetitions ~seed:s.seed ~n:s.n
                ~r:s.r ()));
       demo = (fun ctx -> (copy_pair ctx.x ctx.x, copy_pair ctx.x ctx.y));
-      network = None;
-      faulty = None;
+      backend = None;
       quantum_links = false;
       conformance = true;
     }
@@ -183,8 +157,7 @@ let dma_entry =
       demo_fix = Fun.id;
       protocol = (fun s -> Dqma.dma_trivial ~n:s.n ~r:s.r);
       demo = (fun ctx -> (copy_pair ctx.x ctx.x, copy_pair ctx.x ctx.y));
-      network = network dma_prepare;
-      faulty = faulty dma_prepare;
+      backend = Some dma_prepare;
       quantum_links = false;
       conformance = true;
     }
@@ -207,8 +180,7 @@ let rpls_entry =
       demo_fix = (fun s -> { s with d = 4 });
       protocol = (fun s -> Dqma.rpls (rpls_params s));
       demo = (fun ctx -> (copy_pair ctx.x ctx.x, copy_pair ctx.x ctx.y));
-      network = network rpls_prepare;
-      faulty = faulty rpls_prepare;
+      backend = Some rpls_prepare;
       quantum_links = false;
       conformance = true;
     }
@@ -269,8 +241,7 @@ let ieq_entry turns =
       demo_fix = Fun.id;
       protocol = (fun s -> Dqma.ieq (ieq_params turns s));
       demo = (fun ctx -> ieq_demo (ieq_params turns ctx.demo_spec) ctx);
-      network = network ieq_prepare;
-      faulty = faulty ieq_prepare;
+      backend = Some ieq_prepare;
       quantum_links = false;
       conformance = false;
     }
@@ -302,8 +273,7 @@ let seteq_entry =
             Array.init k (fun i -> Gf2.of_int ~width:s.n (i + 900))
           in
           ((set, perm), (Array.map Gf2.copy set, other)));
-      network = None;
-      faulty = None;
+      backend = None;
       quantum_links = false;
       conformance = true;
     }
@@ -343,8 +313,7 @@ let rv_entry =
           (* terminal t-1 holds the largest input, terminal 0 the
              smallest, so rank 1 is true for the former only *)
           (mk (s.t - 1) 1, mk 0 1));
-      network = None;
-      faulty = None;
+      backend = None;
       quantum_links = false;
       conformance = false;
     }
@@ -368,8 +337,7 @@ let ham_entry =
             (Oneway_compiler.make ?repetitions:s.repetitions ~amplification:2
                ~r ~t:s.t ~n:s.n ()));
       demo = multi_of_ctx;
-      network = None;
-      faulty = None;
+      backend = None;
       quantum_links = false;
       conformance = false;
     }

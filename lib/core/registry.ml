@@ -64,8 +64,7 @@ type entry =
       demo_fix : spec -> spec;
       protocol : spec -> ('i, 'p) Dqma.protocol;
       demo : demo_ctx -> 'i * 'i;
-      network : (spec -> ('i, 'p) Dqma.network) option;
-      faulty : (spec -> ('i, 'p) Dqma.faulty_network) option;
+      backend : (spec -> ('i, 'p) Dqma.backend) option;
       quantum_links : bool;
       conformance : bool;
     }
@@ -107,8 +106,8 @@ let info ?(spec = default_spec) (Entry e) =
     info_summary = e.meta.summary;
     info_reference = e.meta.reference;
     info_cost = e.meta.cost_formula;
-    info_network = e.network <> None;
-    info_fault_tolerant = e.faulty <> None;
+    info_network = e.backend <> None;
+    info_fault_tolerant = e.backend <> None;
     info_conformance = e.conformance;
   }
 
@@ -119,18 +118,18 @@ let evaluate_demo ?x ?y spec (Entry e) =
   (p.Dqma.name, Dqma.evaluate p yes, Dqma.evaluate p no, p.Dqma.costs yes)
 
 let cross_validate_demo ?trials ~st spec (Entry e) =
-  match e.network with
+  match e.backend with
   | None -> None
   | Some mk ->
       Qdp_obs.section e.meta.id @@ fun () ->
       let spec = e.demo_fix spec in
       let p = e.protocol spec in
-      let network = mk spec in
+      let backend = mk spec in
       let yes, no = e.demo (context_of spec) in
       Some
         [
-          ("yes", Dqma.cross_validate ?trials ~st ~network p yes);
-          ("no", Dqma.cross_validate ?trials ~st ~network p no);
+          ("yes", Dqma.cross_validate ?trials ~st ~backend p yes);
+          ("no", Dqma.cross_validate ?trials ~st ~backend p no);
         ]
 
 (* ------------------------------------------------------------------ *)
@@ -158,19 +157,22 @@ type fault_suite = {
 }
 
 let fault_suite spec (Entry e) =
-  match e.faulty with
+  match e.backend with
   | None -> None
   | Some mk ->
       let spec = e.demo_fix spec in
       let p = e.protocol spec in
-      let faulty = mk spec in
+      let backend = mk spec in
       (* cases stay unprepared: a suite holds every strategy of an
          entry, and their states are built only while a caller runs
          one *)
       let cases inst provers =
         List.map
           (fun (name, prover) ->
-            let fc_prepare () = faulty inst prover in
+            let fc_prepare () =
+              let run = backend inst prover in
+              fun st env -> run ~faults:env st
+            in
             {
               fc_strategy = name;
               fc_analytic = p.Dqma.accept inst prover;

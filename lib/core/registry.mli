@@ -70,25 +70,24 @@ val context_of : ?x:Gf2.t -> ?y:Gf2.t -> spec -> demo_ctx
 (** A registered protocol, existential over its instance and prover
     types.  [demo_fix] pins the spec fields the demo suite needs
     (e.g. the relay protocol only makes sense for [r] past the spacing
-    threshold); [demo] builds one yes and one no instance; [network],
-    when present, is the protocol's sampled message-passing
-    realization, the counterpart the differential harness
-    ({!Dqma.cross_validate}) checks the analytic path against, staged
-    so that [network spec inst prover] prepares the instance once;
-    [faulty], when present, is the same realization run under a fault
-    environment, staged the same way (the [fault_tolerant] capability
-    — `qdp faults` sweeps every entry that has one); [quantum_links]
-    records whether the realization forwards quantum registers (so
-    the fault sweep knows whether channel noise or classical bit flips
-    apply); [conformance] admits the entry into {!demo_suite}. *)
+    threshold); [demo] builds one yes and one no instance; [backend],
+    when present, is the protocol's message-passing realization,
+    staged so that [backend spec inst prover] prepares the instance
+    once ({!Dqma.backend}).  It is the one way into the network: the
+    differential harness ({!Dqma.cross_validate}) runs it with no
+    fault injector against the analytic path, and the fault sweep
+    ([qdp faults], through {!fault_suite}) runs it under a fault
+    environment.  [quantum_links] records whether the realization
+    forwards quantum registers (so the fault sweep knows whether
+    channel noise or classical bit flips apply); [conformance] admits
+    the entry into {!demo_suite}. *)
 type entry =
   | Entry : {
       meta : meta;
       demo_fix : spec -> spec;
       protocol : spec -> ('i, 'p) Dqma.protocol;
       demo : demo_ctx -> 'i * 'i;
-      network : (spec -> ('i, 'p) Dqma.network) option;
-      faulty : (spec -> ('i, 'p) Dqma.faulty_network) option;
+      backend : (spec -> ('i, 'p) Dqma.backend) option;
       quantum_links : bool;
       conformance : bool;
     }
@@ -118,8 +117,10 @@ type info = {
   info_summary : string;
   info_reference : string;
   info_cost : string;
-  info_network : bool;
+  info_network : bool;  (** the entry has a [backend] *)
   info_fault_tolerant : bool;
+      (** the entry can be swept under faults: the same as
+          [info_network], since one backend serves both *)
   info_conformance : bool;
 }
 
@@ -140,7 +141,7 @@ val evaluate_demo :
 
 (** [cross_validate_demo ?trials ~st spec e] runs the differential
     harness on the entry's demo instances — [None] when the entry has
-    no network realization, otherwise per-instance check lists
+    no [backend], otherwise per-instance check lists
     [("yes", checks); ("no", checks)].  [demo_fix] is applied to
     [spec] first so the instances match the suite's shapes. *)
 val cross_validate_demo :
@@ -194,7 +195,7 @@ type fault_suite = {
 }
 
 (** [fault_suite spec e] unpacks [e] for the fault sweep — [None] when
-    the entry has no fault-aware realization.  [demo_fix] is applied to
+    the entry has no [backend].  [demo_fix] is applied to
     [spec] first, as in {!cross_validate_demo}.  No case is prepared
     here, so a suite is cheap to hold whatever its size. *)
 val fault_suite : spec -> entry -> fault_suite option

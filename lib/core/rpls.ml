@@ -94,12 +94,6 @@ let prepare params x y prover =
     in
     Runtime.run ?faults g ~rounds:2 program
 
-let run_once st params x y prover =
-  Runtime.accepted (prepare params x y prover st)
-
-let run_faulty st env params x y prover =
-  prepare params x y prover ~faults:env st
-
 let costs params =
   {
     Report.local_proof_qubits = params.n;

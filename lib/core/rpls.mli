@@ -47,29 +47,6 @@ val prepare :
   Random.State.t ->
   Qdp_network.Runtime.verdict array * Qdp_network.Runtime.stats
 
-(** [run_once st params x y prover] samples one execution on the
-    {!Qdp_network.Runtime} engine (shared randomness drawn from [st])
-    and returns the verdict with traffic stats. *)
-val run_once :
-  Random.State.t ->
-  params ->
-  Gf2.t ->
-  Gf2.t ->
-  prover ->
-  bool * Qdp_network.Runtime.stats
-
-(** [run_faulty st env params x y prover] is {!run_once} under the
-    fault environment.  Returns raw per-node verdicts for the fault
-    layer's recovery semantics. *)
-val run_faulty :
-  Random.State.t ->
-  Fault_env.t ->
-  params ->
-  Gf2.t ->
-  Gf2.t ->
-  prover ->
-  Qdp_network.Runtime.verdict array * Qdp_network.Runtime.stats
-
 (** [costs params] — [n] proof bits per node, [parity_checks] message
     bits per edge per direction. *)
 val costs : params -> Report.costs

@@ -70,9 +70,4 @@ let prepare ~r x y prover =
       ?faults:(Option.map (Fault_env.injector ~corrupt:flip_bit) faults)
       g ~rounds:2 program
 
-let run ~r x y prover =
-  Runtime.accepted (prepare ~r x y prover (Random.State.make [||]))
-
-let run_faulty st env ~r x y prover = prepare ~r x y prover ~faults:env st
-
 let bits_per_node ~n = n

@@ -29,22 +29,5 @@ val prepare :
   Random.State.t ->
   Runtime.verdict array * Runtime.stats
 
-(** [run params_r x y prover] executes the 1-round protocol on the
-    path of length [r] and returns the verdict (deterministic) with
-    traffic stats. *)
-val run : r:int -> Gf2.t -> Gf2.t -> prover -> bool * Runtime.stats
-
-(** [run_faulty st env ~r x y prover] is {!run} under the fault
-    environment.  Returns raw per-node verdicts for the fault layer's
-    recovery semantics. *)
-val run_faulty :
-  Random.State.t ->
-  Fault_env.t ->
-  r:int ->
-  Gf2.t ->
-  Gf2.t ->
-  prover ->
-  Runtime.verdict array * Runtime.stats
-
 (** [bits_per_node ~n] is the proof cost: [n]. *)
 val bits_per_node : n:int -> int

@@ -80,14 +80,3 @@ let prepare params x y strategy =
   in
   fun ?faults st ->
     Runtime.run ?faults:(Option.map injector faults) g ~rounds:2 (program st)
-
-let run_once st params x y strategy =
-  Runtime.accepted (prepare params x y strategy st)
-
-let run_faulty st env params x y strategy =
-  prepare params x y strategy ~faults:env st
-
-let estimate_acceptance st ~trials params x y strategy =
-  let run = prepare params x y strategy in
-  Runtime.estimate_acceptance ~st ~trials (fun st ->
-      fst (Runtime.accepted (run st)))

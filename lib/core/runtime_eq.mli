@@ -15,7 +15,7 @@ open Qdp_network
 
 (** Shares {!Eq_path.params} so closed-form and message-passing runs
     are configured by the same value ([repetitions] is ignored here:
-    each [run_once] is one repetition). *)
+    each run of a {!prepare}d closure is one repetition). *)
 type params = Eq_path.params = {
   n : int;
   r : int;
@@ -41,38 +41,3 @@ val prepare :
   ?faults:Fault_env.t ->
   Random.State.t ->
   Runtime.verdict array * Runtime.stats
-
-(** [run_once st params x y strategy] executes one repetition and
-    returns whether every node accepted, plus the runtime's traffic
-    stats. *)
-val run_once :
-  Random.State.t ->
-  params ->
-  Gf2.t ->
-  Gf2.t ->
-  Strategy.t ->
-  bool * Runtime.stats
-
-(** [run_faulty st env params x y strategy] is one {!prepare}d
-    repetition under the fault environment.  Returns the raw per-node
-    verdicts so the fault layer can apply its recovery semantics
-    (degraded verdicts need to know who was down). *)
-val run_faulty :
-  Random.State.t ->
-  Fault_env.t ->
-  params ->
-  Gf2.t ->
-  Gf2.t ->
-  Strategy.t ->
-  Runtime.verdict array * Runtime.stats
-
-(** [estimate_acceptance st ~trials params x y strategy] is the
-    empirical acceptance frequency of one {!prepare}d instance. *)
-val estimate_acceptance :
-  Random.State.t ->
-  trials:int ->
-  params ->
-  Gf2.t ->
-  Gf2.t ->
-  Strategy.t ->
-  float

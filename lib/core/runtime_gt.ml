@@ -114,14 +114,3 @@ let prepare (params : Gt.params) x y prover =
   in
   fun ?faults st ->
     Runtime.run ?faults:(Option.map injector faults) g ~rounds:2 (program st)
-
-let run_once st params x y prover =
-  Runtime.accepted (prepare params x y prover st)
-
-let run_faulty st env params x y prover =
-  prepare params x y prover ~faults:env st
-
-let estimate_acceptance st ~trials params x y prover =
-  let run = prepare params x y prover in
-  Runtime.estimate_acceptance ~st ~trials (fun st ->
-      fst (Runtime.accepted (run st)))

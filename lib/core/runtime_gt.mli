@@ -38,8 +38,10 @@ val of_prover : Gt.prover -> prover
     verdicts and stats as a fresh [prepare] per trial.  Under
     [?faults], register noise corrupts the forwarded prefix
     fingerprints (the classical index header is left to the
-    deterministic neighbour comparison).  A node whose claimed index
-    lies outside [\[0, n)] gets no register and rejects. *)
+    deterministic neighbour comparison).  Nodes check their claimed
+    index against the one arriving from the left and reject on
+    mismatch before any quantum test; a node whose claimed index lies
+    outside [\[0, n)] gets no register and rejects. *)
 val prepare :
   Gt.params ->
   Gf2.t ->
@@ -48,27 +50,3 @@ val prepare :
   ?faults:Fault_env.t ->
   Random.State.t ->
   Runtime.verdict array * Runtime.stats
-
-(** [run_once st params x y prover] executes one repetition; returns
-    the global verdict and traffic stats.  Nodes check their claimed
-    index against the one arriving from the left and reject on
-    mismatch before any quantum test. *)
-val run_once :
-  Random.State.t -> Gt.params -> Gf2.t -> Gf2.t -> prover -> bool * Runtime.stats
-
-(** [run_faulty st env params x y prover] is one {!prepare}d
-    repetition under the fault environment, returning raw per-node
-    verdicts for the fault layer's recovery semantics. *)
-val run_faulty :
-  Random.State.t ->
-  Fault_env.t ->
-  Gt.params ->
-  Gf2.t ->
-  Gf2.t ->
-  prover ->
-  Runtime.verdict array * Runtime.stats
-
-(** [estimate_acceptance st ~trials params x y prover] is the
-    empirical acceptance frequency of one {!prepare}d instance. *)
-val estimate_acceptance :
-  Random.State.t -> trials:int -> Gt.params -> Gf2.t -> Gf2.t -> prover -> float

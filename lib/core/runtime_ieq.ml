@@ -217,6 +217,3 @@ let prepare (p : Ieq.params) x y prover =
         program
     in
     (verdicts, stats)
-
-let run_once st p x y prover = Runtime.accepted (prepare p x y prover st)
-let run_faulty st env p x y prover = prepare p x y prover ~faults:env st

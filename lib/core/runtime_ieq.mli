@@ -64,24 +64,3 @@ val prepare :
   ?faults:Fault_env.t ->
   Random.State.t ->
   Runtime.verdict array * Runtime.stats
-
-(** [run_once st params x y prover] is one {!prepare}d interaction
-    reduced to the global verdict. *)
-val run_once :
-  Random.State.t ->
-  Ieq.params ->
-  Gf2.t ->
-  Gf2.t ->
-  Ieq.prover ->
-  bool * Runtime.stats
-
-(** [run_faulty st env params x y prover] is one {!prepare}d
-    interaction under a fault environment. *)
-val run_faulty :
-  Random.State.t ->
-  Fault_env.t ->
-  Ieq.params ->
-  Gf2.t ->
-  Gf2.t ->
-  Ieq.prover ->
-  Runtime.verdict array * Runtime.stats

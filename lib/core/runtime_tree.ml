@@ -103,14 +103,3 @@ let prepare params g ~terminals ~inputs strategy =
   fun ?faults st ->
     Runtime.run ?faults:(Option.map injector faults) tree_g ~rounds:2
       (program st)
-
-let run_once st params g ~terminals ~inputs strategy =
-  Runtime.accepted (prepare params g ~terminals ~inputs strategy st)
-
-let run_faulty st env params g ~terminals ~inputs strategy =
-  prepare params g ~terminals ~inputs strategy ~faults:env st
-
-let estimate_acceptance st ~trials params g ~terminals ~inputs strategy =
-  let run = prepare params g ~terminals ~inputs strategy in
-  Runtime.estimate_acceptance ~st ~trials (fun st ->
-      fst (Runtime.accepted (run st)))

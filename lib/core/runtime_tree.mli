@@ -30,41 +30,3 @@ val prepare :
   ?faults:Fault_env.t ->
   Random.State.t ->
   Runtime.verdict array * Runtime.stats
-
-(** [run_once st params g ~terminals ~inputs strategy] executes one
-    {!prepare}d repetition and returns the global verdict plus traffic
-    stats. *)
-val run_once :
-  Random.State.t ->
-  Eq_tree.params ->
-  Graph.t ->
-  terminals:int list ->
-  inputs:Gf2.t array ->
-  Eq_tree.strategy ->
-  bool * Runtime.stats
-
-(** [run_faulty st env params g ~terminals ~inputs strategy] is
-    {!run_once} under the fault environment, returning raw per-node
-    verdicts for the fault layer's recovery semantics. *)
-val run_faulty :
-  Random.State.t ->
-  Fault_env.t ->
-  Eq_tree.params ->
-  Graph.t ->
-  terminals:int list ->
-  inputs:Gf2.t array ->
-  Eq_tree.strategy ->
-  Runtime.verdict array * Runtime.stats
-
-(** [estimate_acceptance st ~trials params g ~terminals ~inputs
-    strategy] is the empirical acceptance frequency of one
-    {!prepare}d instance. *)
-val estimate_acceptance :
-  Random.State.t ->
-  trials:int ->
-  Eq_tree.params ->
-  Graph.t ->
-  terminals:int list ->
-  inputs:Gf2.t array ->
-  Eq_tree.strategy ->
-  float

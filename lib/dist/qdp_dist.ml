@@ -32,8 +32,8 @@ let env_float name ~default =
   match Sys.getenv_opt name with
   | Some s -> (
       match float_of_string_opt (String.trim s) with
-      | Some v -> v
-      | None -> default)
+      | Some v when not (Float.is_nan v) -> v
+      | Some _ | None -> default)
   | None -> default
 
 let workers_cfg : int option ref = ref None
@@ -60,7 +60,9 @@ let shard_timeout () =
       shard_timeout_cfg := Some t;
       t
 
-let set_shard_timeout t = shard_timeout_cfg := Some t
+let set_shard_timeout t =
+  if Float.is_nan t then invalid_arg "Qdp_dist.set_shard_timeout: NaN";
+  shard_timeout_cfg := Some t
 
 let max_attempts_cfg = ref 4
 let max_attempts () = !max_attempts_cfg

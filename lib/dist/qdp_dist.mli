@@ -60,10 +60,12 @@ val workers : unit -> int
 val set_workers : int -> unit
 
 (** Per-shard deadline in seconds before a busy worker is declared
-    hung and killed.  [QDP_DIST_TIMEOUT]; default [30.]; [<= 0]
+    hung and killed.  [QDP_DIST_TIMEOUT] (NaN or a value that does
+    not parse falls back to the default); default [30.]; [<= 0]
     disables hang detection. *)
 val shard_timeout : unit -> float
 
+(** @raise Invalid_argument on NaN. *)
 val set_shard_timeout : float -> unit
 
 (** Attempt budget per shard (including the first try) before the

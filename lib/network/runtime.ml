@@ -41,14 +41,18 @@ let deadline () =
         match Sys.getenv_opt "QDP_TIMEOUT" with
         | Some s -> (
             match float_of_string_opt (String.trim s) with
-            | Some v -> v
-            | None -> default_deadline)
+            | Some v when not (Float.is_nan v) -> v
+            | Some _ | None -> default_deadline)
         | None -> default_deadline
       in
       deadline_cfg := Some d;
       d
 
-let set_deadline d = deadline_cfg := Some d
+(* NaN fails every comparison, so [limit > 0.] would read it as
+   "disabled" without a word; only [<= 0] disables. *)
+let set_deadline d =
+  if Float.is_nan d then invalid_arg "Runtime.set_deadline: NaN";
+  deadline_cfg := Some d
 
 module Turn = struct
   type t =
@@ -359,10 +363,6 @@ let run ?faults g ~rounds program =
   in
   (verdicts, stats)
 
-let run_accepts g ~rounds program =
-  let verdicts, _ = run g ~rounds program in
-  global_verdict verdicts = Accept
-
 let estimate_acceptance ~st ~trials f =
   Qdp_obs.section "estimate_acceptance" @@ fun () ->
   let hits = Qdp_dist.monte_carlo_hits ~label:"accept" ~st ~trials f in
@@ -398,8 +398,3 @@ let wilson ?(z = 5.) ~hits ~trials () =
     upper = Float.min 1. (centre +. half);
     ci_trials = trials;
   }
-
-let estimate_acceptance_ci ?z ~st ~trials f =
-  Qdp_obs.section "estimate_acceptance" @@ fun () ->
-  let hits = Qdp_dist.monte_carlo_hits ~label:"accept" ~st ~trials f in
-  wilson ?z ~hits ~trials ()

@@ -67,10 +67,12 @@ exception Deadline_exceeded of { elapsed_s : float; limit_s : float }
 val default_deadline : float
 
 (** [deadline ()] is the current process-wide deadline; the first
-    read resolves [QDP_TIMEOUT] when set. *)
+    read resolves [QDP_TIMEOUT] when set (a value that does not parse,
+    or NaN, falls back to {!default_deadline}). *)
 val deadline : unit -> float
 
-(** [set_deadline d] overrides it (wins over the environment). *)
+(** [set_deadline d] overrides it (wins over the environment).
+    @raise Invalid_argument on NaN. *)
 val set_deadline : float -> unit
 
 (** {2 Turn schedules} *)
@@ -223,17 +225,15 @@ val run_turns :
 val run :
   ?faults:'m Fault.t -> Graph.t -> rounds:int -> ('s, 'm) program -> verdict array * stats
 
-(** [run_accepts g ~rounds program] is [true] iff all nodes accept. *)
-val run_accepts : Graph.t -> rounds:int -> ('s, 'm) program -> bool
-
 (** [estimate_acceptance ~st ~trials f] runs the randomized trial [f]
-    (typically a [run_once] closure) [trials] times and returns the
-    empirical acceptance frequency.  The trials run through
-    [Qdp_dist.monte_carlo_hits] in fixed chunks of [Qdp_dist.mc_chunk],
-    each chunk on an RNG state split off [st] in chunk order, so the
-    frequency — and the post-call position of [st] — are
-    byte-identical at every [--jobs]/[--workers] value.  Threading [st] — never the global RNG — keeps
-    every experiment bit-reproducible from a seed. *)
+    (typically a prepared backend's run reduced by {!accepted})
+    [trials] times and returns the empirical acceptance frequency.
+    The trials run through [Qdp_dist.monte_carlo_hits] in fixed chunks
+    of [Qdp_dist.mc_chunk], each chunk on an RNG state split off [st]
+    in chunk order, so the frequency — and the post-call position of
+    [st] — are byte-identical at every [--jobs]/[--workers] value.
+    Threading [st] — never the global RNG — keeps every experiment
+    bit-reproducible from a seed. *)
 val estimate_acceptance :
   st:Random.State.t -> trials:int -> (Random.State.t -> bool) -> float
 
@@ -257,8 +257,3 @@ type interval = {
     live.
     @raise Invalid_argument on [trials <= 0] or [hits] out of range. *)
 val wilson : ?z:float -> hits:int -> trials:int -> unit -> interval
-
-(** [estimate_acceptance_ci ?z ~st ~trials f] is {!estimate_acceptance}
-    returning the full {!interval} instead of a bare frequency. *)
-val estimate_acceptance_ci :
-  ?z:float -> st:Random.State.t -> trials:int -> (Random.State.t -> bool) -> interval

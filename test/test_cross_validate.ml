@@ -5,6 +5,7 @@
    acceptances must land within the harness's statistical tolerance of
    the sampled frequency. *)
 
+open Qdp_network
 open Qdp_core
 
 let () = Protocols.init ()
@@ -104,18 +105,23 @@ let test_no_network_backends () =
       | Some _ -> Alcotest.failf "%s unexpectedly has a network backend" id)
     [ "relay"; "dqcma"; "seteq"; "rv"; "ham" ]
 
-(* The staging contract: on every demo instance and strategy, a
-   network closure prepared once and reused for [k] trials gives the
-   same verdicts as a fresh preparation per trial from the same coins,
-   and leaves the coin stream at the same position. *)
-let test_prepared_once (Registry.Entry e) () =
-  let k = 50 in
-  match e.network with
+(* A prepared run of an entry's backend. *)
+type prepared =
+  ?faults:Fault_env.t ->
+  Random.State.t ->
+  Runtime.verdict array * Runtime.stats
+
+(* Hands [f] every demo (instance, strategy) pair of an entry with a
+   backend, as a label, the strategy's index and a thunk preparing
+   the pair at [small_spec]. *)
+let iter_demo_strategies (Registry.Entry e)
+    (f : string -> int -> (unit -> prepared) -> unit) =
+  match e.backend with
   | None -> ()
   | Some mk ->
       let spec = e.demo_fix small_spec in
       let p = e.protocol spec in
-      let network = mk spec in
+      let backend = mk spec in
       let yes, no = e.demo (Registry.context_of spec) in
       List.iter
         (fun (label, inst) ->
@@ -127,29 +133,67 @@ let test_prepared_once (Registry.Entry e) () =
           in
           List.iteri
             (fun i (name, prover) ->
-              let reused = Random.State.make [| 0x57a9; i |] in
-              let fresh = Random.State.make [| 0x57a9; i |] in
-              let run = network inst prover in
-              let once = Array.init k (fun _ -> run reused) in
-              let each = Array.init k (fun _ -> network inst prover fresh) in
-              let what =
-                Printf.sprintf "%s/%s %s" e.meta.Registry.id label name
-              in
-              Alcotest.(check (array bool)) (what ^ ": verdicts") each once;
-              Alcotest.(check int)
-                (what ^ ": coin stream position")
-                (Random.State.bits fresh) (Random.State.bits reused))
+              f
+                (Printf.sprintf "%s/%s %s" e.meta.Registry.id label name)
+                i
+                (fun () -> backend inst prover))
             provers)
         [ ("yes", yes); ("no", no) ]
 
-let staging_cases =
+(* The staging contract: on every demo instance and strategy, a
+   backend closure prepared once and reused for [k] trials gives the
+   same verdicts as a fresh preparation per trial from the same coins,
+   and leaves the coin stream at the same position. *)
+let test_prepared_once entry () =
+  let k = 50 in
+  iter_demo_strategies entry @@ fun what i prepare ->
+  let reused = Random.State.make [| 0x57a9; i |] in
+  let fresh = Random.State.make [| 0x57a9; i |] in
+  let run = prepare () in
+  let once = Array.init k (fun _ -> fst (Runtime.accepted (run reused))) in
+  let each =
+    Array.init k (fun _ -> fst (Runtime.accepted (prepare () fresh)))
+  in
+  Alcotest.(check (array bool)) (what ^ ": verdicts") each once;
+  Alcotest.(check int)
+    (what ^ ": coin stream position")
+    (Random.State.bits fresh) (Random.State.bits reused)
+
+(* The cross-validation view and the fault view of a backend are one
+   run: from identically seeded states, a run under
+   [Fault_env.perfect] has the same global verdict and traffic as a
+   run with no [?faults], and leaves the coin stream at the same
+   position. *)
+let test_perfect_faults_view entry () =
+  let k = 50 in
+  iter_demo_strategies entry @@ fun what i prepare ->
+  let plain_run = prepare () and faulted_run = prepare () in
+  let plain = Random.State.make [| 0x9e7; i |] in
+  let faulted = Random.State.make [| 0x9e7; i |] in
+  for trial = 1 to k do
+    let v0, s0 = plain_run plain in
+    let env = Fault_env.perfect ~st:(Random.State.make [| 0x9e8; trial |]) in
+    let v1, s1 = faulted_run ~faults:env faulted in
+    let what = Printf.sprintf "%s trial %d" what trial in
+    Alcotest.(check bool)
+      (what ^ ": global verdict")
+      (Runtime.global_verdict v0 = Runtime.Accept)
+      (Runtime.global_verdict v1 = Runtime.Accept);
+    Alcotest.(check int) (what ^ ": messages") s0.Runtime.messages
+      s1.Runtime.messages;
+    Alcotest.(check (list (pair (pair int int) int)))
+      (what ^ ": per-edge traffic") s0.Runtime.per_edge s1.Runtime.per_edge
+  done;
+  Alcotest.(check int)
+    (what ^ ": coin stream position")
+    (Random.State.bits plain) (Random.State.bits faulted)
+
+let backend_cases test =
   List.filter_map
     (fun entry ->
       let info = Registry.info entry in
       if info.Registry.info_network then
-        Some
-          (Alcotest.test_case info.Registry.info_id `Quick
-             (test_prepared_once entry))
+        Some (Alcotest.test_case info.Registry.info_id `Quick (test entry))
       else None)
     (Registry.all ())
 
@@ -174,5 +218,6 @@ let () =
           Alcotest.test_case "obs counters" `Quick test_obs_counters;
           Alcotest.test_case "no-network entries" `Quick test_no_network_backends;
         ] );
-      ("prepared once", staging_cases);
+      ("prepared once", backend_cases test_prepared_once);
+      ("perfect faults view", backend_cases test_perfect_faults_view);
     ]

@@ -42,6 +42,57 @@ let with_dist ~workers ?(chaos = 0.0) ?(chaos_seed = 42) ?(timeout = 5.0)
       Dist.set_respawn_budget (-1))
     f
 
+(* --- configuration --- *)
+
+(* Re-executed with [timeouts_flag], this binary prints the deadline
+   and the shard timeout its environment resolves to.  A child process
+   keeps the resolution fresh: both resolve once per process. *)
+let timeouts_flag = "--print-timeouts"
+
+let () =
+  if Array.length Sys.argv = 2 && Sys.argv.(1) = timeouts_flag then begin
+    Printf.printf "%h %h\n"
+      (Qdp_network.Runtime.deadline ())
+      (Dist.shard_timeout ());
+    exit 0
+  end
+
+let test_shard_timeout_nan () =
+  let saved = Dist.shard_timeout () in
+  Alcotest.check_raises "NaN rejected"
+    (Invalid_argument "Qdp_dist.set_shard_timeout: NaN") (fun () ->
+      Dist.set_shard_timeout Float.nan);
+  Alcotest.(check (float 0.)) "shard timeout unchanged" saved
+    (Dist.shard_timeout ())
+
+(* A NaN in [QDP_TIMEOUT] or [QDP_DIST_TIMEOUT] falls back to the
+   default instead of disabling the check. *)
+let test_env_nan_timeouts () =
+  let env =
+    Array.append
+      [| "QDP_TIMEOUT=nan"; "QDP_DIST_TIMEOUT=nan" |]
+      (Array.of_list
+         (List.filter
+            (fun kv ->
+              not
+                (String.starts_with ~prefix:"QDP_TIMEOUT=" kv
+                || String.starts_with ~prefix:"QDP_DIST_TIMEOUT=" kv))
+            (Array.to_list (Unix.environment ()))))
+  in
+  let out, inp, err =
+    Unix.open_process_args_full Sys.executable_name
+      [| Sys.executable_name; timeouts_flag |]
+      env
+  in
+  let line = input_line out in
+  let status = Unix.close_process_full (out, inp, err) in
+  Alcotest.(check bool) "child exits 0" true (status = Unix.WEXITED 0);
+  Scanf.sscanf line "%h %h" (fun deadline shard ->
+      Alcotest.(check (float 0.)) "QDP_TIMEOUT=nan -> default"
+        Qdp_network.Runtime.default_deadline deadline;
+      Alcotest.(check (float 0.)) "QDP_DIST_TIMEOUT=nan -> default" 30.
+        shard)
+
 let report () =
   match Dist.last_report () with
   | Some r -> r
@@ -450,6 +501,13 @@ let test_domains_interplay () =
 let () =
   Alcotest.run "dist"
     [
+      ( "config",
+        [
+          Alcotest.test_case "shard timeout NaN rejected" `Quick
+            test_shard_timeout_nan;
+          Alcotest.test_case "NaN in the environment" `Quick
+            test_env_nan_timeouts;
+        ] );
       ( "backoff",
         [
           Alcotest.test_case "delay bands" `Quick test_backoff_delays;

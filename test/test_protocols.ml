@@ -435,8 +435,10 @@ let test_runtime_matches_closed_form () =
     Eq_path.single_round_accept closed_params x y (Strategy.Constant x)
   in
   let st = Random.State.make [| 0x81 |] in
+  let run = Runtime_eq.prepare params x y Strategy.All_left in
   let sampled =
-    Runtime_eq.estimate_acceptance st ~trials:3000 params x y Strategy.All_left
+    Runtime.estimate_acceptance ~st ~trials:3000 (fun st ->
+        fst (Runtime.accepted (run st)))
   in
   Alcotest.(check bool)
     (Printf.sprintf "sampled %.3f vs closed %.3f" sampled closed)
@@ -447,7 +449,10 @@ let test_runtime_honest () =
   let params = { Runtime_eq.n = 16; r = 5; seed = 28; repetitions = 1 } in
   let x = Gf2.random rng 16 in
   let st = Random.State.make [| 0x82 |] in
-  let ok, stats = Runtime_eq.run_once st params x (Gf2.copy x) Strategy.All_left in
+  let ok, stats =
+    Runtime.accepted
+      (Runtime_eq.prepare params x (Gf2.copy x) Strategy.All_left st)
+  in
   Alcotest.(check bool) "honest run accepts" true ok;
   Alcotest.(check int) "r messages" 5 stats.Runtime.messages
 

@@ -169,7 +169,10 @@ let test_runtime_tree_honest () =
   let x = Gf2.random st n in
   let inputs = Array.make 4 (Gf2.copy x) in
   let p = Eq_tree.make ~repetitions:1 ~seed:11 ~n ~r:2 () in
-  let ok, stats = Runtime_tree.run_once st p g ~terminals ~inputs Eq_tree.Honest in
+  let ok, stats =
+    Runtime.accepted
+      (Runtime_tree.prepare p g ~terminals ~inputs Eq_tree.Honest st)
+  in
   Alcotest.(check bool) "honest run accepts" true ok;
   Alcotest.(check bool) "messages flowed" true (stats.Runtime.messages > 0)
 
@@ -184,9 +187,12 @@ let test_runtime_tree_converges () =
   let closed =
     Eq_tree.single_round_accept p g ~terminals ~inputs (Eq_tree.Constant x)
   in
+  let run =
+    Runtime_tree.prepare p g ~terminals ~inputs (Eq_tree.Constant x)
+  in
   let sampled =
-    Runtime_tree.estimate_acceptance st ~trials:4000 p g ~terminals ~inputs
-      (Eq_tree.Constant x)
+    Runtime.estimate_acceptance ~st ~trials:4000 (fun st ->
+        fst (Runtime.accepted (run st)))
   in
   Alcotest.(check bool)
     (Printf.sprintf "sampled %.3f vs closed %.3f" sampled closed)
@@ -206,9 +212,12 @@ let test_runtime_tree_fgnp_variant () =
   let closed =
     Eq_tree.single_round_accept p g ~terminals ~inputs (Eq_tree.Constant x)
   in
+  let run =
+    Runtime_tree.prepare p g ~terminals ~inputs (Eq_tree.Constant x)
+  in
   let sampled =
-    Runtime_tree.estimate_acceptance st ~trials:4000 p g ~terminals ~inputs
-      (Eq_tree.Constant x)
+    Runtime.estimate_acceptance ~st ~trials:4000 (fun st ->
+        fst (Runtime.accepted (run st)))
   in
   Alcotest.(check bool)
     (Printf.sprintf "fgnp sampled %.3f vs closed %.3f" sampled closed)

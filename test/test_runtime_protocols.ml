@@ -5,6 +5,7 @@
 open Qdp_linalg
 open Qdp_quantum
 open Qdp_codes
+open Qdp_network
 open Qdp_core
 
 let rng = Random.State.make [| 0x87f |]
@@ -25,9 +26,12 @@ let test_runtime_gt_honest () =
   let x, y = gt_yes_pair rng n in
   let params = Gt.make ~repetitions:1 ~seed:21 ~n ~r () in
   let st = Random.State.make [| 1 |] in
-  let ok, stats = Runtime_gt.run_once st params x y (Runtime_gt.honest x y) in
+  let ok, stats =
+    Runtime.accepted
+      (Runtime_gt.prepare params x y (Runtime_gt.honest x y) st)
+  in
   Alcotest.(check bool) "honest GT run accepts" true ok;
-  Alcotest.(check int) "r messages" r stats.Qdp_network.Runtime.messages
+  Alcotest.(check int) "r messages" r stats.Runtime.messages
 
 let test_runtime_gt_converges () =
   let n = 12 and r = 4 in
@@ -48,8 +52,10 @@ let test_runtime_gt_converges () =
         { Gt.index = !idx; eq_strategy = Strategy.Geodesic }
     in
     let st = Random.State.make [| 2 |] in
+    let run = Runtime_gt.prepare params y x prover in
     let sampled =
-      Runtime_gt.estimate_acceptance st ~trials:3000 params y x prover
+      Runtime.estimate_acceptance ~st ~trials:3000 (fun st ->
+          fst (Runtime.accepted (run st)))
     in
     Alcotest.(check bool)
       (Printf.sprintf "sampled %.3f vs closed %.3f" sampled closed)
@@ -73,8 +79,9 @@ let test_runtime_gt_index_mismatch_caught () =
     }
   in
   let st = Random.State.make [| 3 |] in
+  let run = Runtime_gt.prepare params x y prover in
   for _ = 1 to 20 do
-    let ok, _ = Runtime_gt.run_once st params x y prover in
+    let ok, _ = Runtime.accepted (run st) in
     Alcotest.(check bool) "mismatched indices always rejected" false ok
   done
 
@@ -97,8 +104,10 @@ let test_runtime_gt_out_of_range_index () =
       List.iter
         (fun (label, node_index) ->
           let ok, _ =
-            Runtime_gt.run_once st params x y
-              { honest with Runtime_gt.node_index }
+            Runtime.accepted
+              (Runtime_gt.prepare params x y
+                 { honest with Runtime_gt.node_index }
+                 st)
           in
           Alcotest.(check bool)
             (Printf.sprintf "index %d claimed %s rejected" bad label)
@@ -111,13 +120,19 @@ let test_runtime_gt_out_of_range_index () =
 
 (* --- classical dMA baseline --- *)
 
+(* One run on the path of length 6; the verifier is deterministic, so
+   the run reads no coin from its state. *)
+let dma_run x y prover =
+  let run = Runtime_dma.prepare ~r:6 x y prover in
+  Runtime.accepted (run (Random.State.make [||]))
+
 let test_dma_honest_equal () =
   let n = 24 in
   let x = Gf2.random rng n in
-  let ok, stats = Runtime_dma.run ~r:6 x (Gf2.copy x) (Runtime_dma.Honest x) in
+  let ok, stats = dma_run x (Gf2.copy x) (Runtime_dma.Honest x) in
   Alcotest.(check bool) "accepts equal inputs" true ok;
   (* every node tells both neighbours: 2 * r messages *)
-  Alcotest.(check int) "messages" 12 stats.Qdp_network.Runtime.messages
+  Alcotest.(check int) "messages" 12 stats.Runtime.messages
 
 let test_dma_detects_difference () =
   let n = 24 in
@@ -127,12 +142,12 @@ let test_dma_detects_difference () =
   (* whatever single string the prover writes, an end node rejects *)
   List.iter
     (fun z ->
-      let ok, _ = Runtime_dma.run ~r:6 x y (Runtime_dma.Honest z) in
+      let ok, _ = dma_run x y (Runtime_dma.Honest z) in
       Alcotest.(check bool) "rejected" false ok)
     [ x; y ];
   (* and a split assignment is caught by a neighbour comparison *)
   let split = Array.init 7 (fun j -> if j < 3 then x else y) in
-  let ok, _ = Runtime_dma.run ~r:6 x y (Runtime_dma.Assignment split) in
+  let ok, _ = dma_run x y (Runtime_dma.Assignment split) in
   Alcotest.(check bool) "split caught" false ok
 
 let test_dma_cost () =
@@ -146,9 +161,11 @@ let test_rpls_honest () =
   Alcotest.(check (float 1e-12)) "honest exact" 1.
     (Rpls.accept_probability params x (Gf2.copy x) (Rpls.Write x));
   let st = Random.State.make [| 7 |] in
-  let ok, stats = Rpls.run_once st params x (Gf2.copy x) (Rpls.Write x) in
+  let ok, stats =
+    Runtime.accepted (Rpls.prepare params x (Gf2.copy x) (Rpls.Write x) st)
+  in
   Alcotest.(check bool) "honest sampled run accepts" true ok;
-  Alcotest.(check int) "2r messages" 12 stats.Qdp_network.Runtime.messages
+  Alcotest.(check int) "2r messages" 12 stats.Runtime.messages
 
 let test_rpls_mismatch_probability () =
   let params = { Rpls.n = 32; r = 6; parity_checks = 3 } in
@@ -166,8 +183,9 @@ let test_rpls_mismatch_probability () =
   let st = Random.State.make [| 8 |] in
   let hits = ref 0 in
   let trials = 4000 in
+  let run = Rpls.prepare params x y (Rpls.Write_each split) in
   for _ = 1 to trials do
-    if fst (Rpls.run_once st params x y (Rpls.Write_each split)) then incr hits
+    if fst (Runtime.accepted (run st)) then incr hits
   done;
   let freq = float_of_int !hits /. float_of_int trials in
   Alcotest.(check bool)

@@ -397,6 +397,16 @@ let test_deadline_stepped_clock () =
       Alcotest.(check (float 0.))
         "elapsed read off the clamped fake clock" 100. elapsed_s
 
+(* NaN fails every comparison, so a NaN deadline would read as
+   "disabled" at the [limit > 0.] test: the setter refuses it and
+   leaves the configured deadline as it was. *)
+let test_deadline_nan () =
+  let saved = Runtime.deadline () in
+  Alcotest.check_raises "NaN rejected"
+    (Invalid_argument "Runtime.set_deadline: NaN") (fun () ->
+      Runtime.set_deadline Float.nan);
+  Alcotest.(check (float 0.)) "deadline unchanged" saved (Runtime.deadline ())
+
 let qcheck = List.map QCheck_alcotest.to_alcotest
 
 let () =
@@ -423,6 +433,7 @@ let () =
           Alcotest.test_case "wall-clock limit" `Quick test_deadline;
           Alcotest.test_case "stepped fake clock" `Quick
             test_deadline_stepped_clock;
+          Alcotest.test_case "NaN rejected" `Quick test_deadline_nan;
         ] );
       ( "experiment",
         [
