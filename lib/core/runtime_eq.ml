@@ -33,6 +33,24 @@ let prepare params x y strategy =
         if id = 0 || id = params.r then None else Some (prover_state id))
   in
   let bob = Fingerprint.accept_prob fp y in
+  (* v_r tests against its own input, a middle node against its kept
+     register *)
+  let test kept arriving =
+    match kept with
+    | Some kept -> Sim.swap_accept [| arriving |] [| kept |]
+    | None -> bob arriving
+  in
+  (* Node [id]'s test in a noise-free run: what arrives is
+     [v_(id-1)]'s register, so the value is fixed per instance. *)
+  let noise_free =
+    Array.init (params.r + 1) (fun id ->
+        if id = 0 then None
+        else
+          let arriving =
+            if id = 1 then hx else Option.get register.(id - 1)
+          in
+          Some (arriving, test register.(id) arriving))
+  in
   let g = Graph.path params.r in
   let program st =
     {
@@ -59,14 +77,15 @@ let prepare params x y strategy =
               | _ -> (state, []))
           | 2 when id = 0 -> (state, [])
           | 2 -> (
-              (* receive from the left and test: v_r against its own
-                 input, a middle node against its kept register *)
+              (* receive from the left and test *)
               match inbox with
               | [ (_, arriving) ] ->
+                  (* the prepared value when the register arrived
+                     untouched; noise hands over a fresh vector *)
                   let p =
-                    match state.kept with
-                    | Some kept -> Sim.swap_accept [| arriving |] [| kept |]
-                    | None -> bob arriving
+                    match noise_free.(id) with
+                    | Some (sent, p) when arriving == sent -> p
+                    | _ -> test state.kept arriving
                   in
                   if Random.State.float st 1. > p then
                     state.verdict <- Runtime.Reject;

@@ -25,14 +25,19 @@ type params = Eq_path.params = {
 
 (** [prepare params x y strategy] is the per-instance step: it encodes
     the fingerprints of [x] and [y] and the prover's register at every
-    node (geodesic states included), drawing no randomness.  The
-    returned closure is one repetition — it only draws the verifier's
-    coins from its [Random.State.t] — and may be reused for any number
-    of trials; a closure prepared once gives the same verdicts and
-    stats as a fresh [prepare] per trial.  Under [?faults], forwarded
-    fingerprint registers pass through the environment's register
-    noise when the plan corrupts them, links drop/duplicate per the
-    plan and crashed nodes freeze. *)
+    node (geodesic states included), drawing no randomness.  It also
+    computes the test every node runs in a noise-free trial — a middle
+    node's SWAP test and [v_r]'s fingerprint test, each on [v_(j-1)]'s
+    register.  A trial uses that value when the arriving register is
+    physically the prepared one, and otherwise (noise hands over a
+    fresh vector) runs the test itself; the coins drawn are the same
+    either way.  The returned closure is one repetition — it only draws
+    the verifier's coins from its [Random.State.t] — and may be reused
+    for any number of trials; a closure prepared once gives the same
+    verdicts and stats as a fresh [prepare] per trial.  Under
+    [?faults], forwarded fingerprint registers pass through the
+    environment's register noise when the plan corrupts them, links
+    drop/duplicate per the plan and crashed nodes freeze. *)
 val prepare :
   params ->
   Gf2.t ->

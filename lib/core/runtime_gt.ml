@@ -49,6 +49,19 @@ let prepare (params : Gt.params) x y prover =
              else if id = r then hy
              else Strategy.node_state ~r ~left:hx ~right:hy prover.chain id))
   in
+  (* Node [id]'s SWAP test in a noise-free run: what arrives is
+     [v_(id-1)]'s register, so the value is fixed per instance.  Only
+     for equal claimed indices: a mismatch is rejected before any test,
+     and prefixes of different indices differ in dimension. *)
+  let noise_free =
+    Array.init (r + 1) (fun id ->
+        if id = 0 || index.(id - 1) <> index.(id) then None
+        else
+          match (register.(id - 1), register.(id)) with
+          | Some left, Some own ->
+              Some (left, Sim.swap_accept [| left |] [| own |])
+          | _ -> None)
+  in
   let program st =
     {
       Runtime.init =
@@ -100,7 +113,13 @@ let prepare (params : Gt.params) x y prover =
                     (* Algorithm 7's neighbour index comparison *)
                     state.verdict <- Runtime.Reject
                   else begin
-                    let p = Sim.swap_accept [| msg.reg |] [| own |] in
+                    (* the prepared value when the register arrived
+                       untouched; noise hands over a fresh vector *)
+                    let p =
+                      match noise_free.(id) with
+                      | Some (left, p) when msg.reg == left -> p
+                      | _ -> Sim.swap_accept [| msg.reg |] [| own |]
+                    in
                     if Random.State.float st 1. > p then
                       state.verdict <- Runtime.Reject
                   end;

@@ -31,12 +31,17 @@ val of_prover : Gt.prover -> prover
 
 (** [prepare params x y prover] is the per-instance step: it resolves
     every node's claimed index and builds its prefix fingerprints and
-    chain state, drawing no randomness.
-    The returned closure is one repetition — it only draws the
-    verifier's coins from its [Random.State.t] — and may be reused for
-    any number of trials; a closure prepared once gives the same
-    verdicts and stats as a fresh [prepare] per trial.  Under
-    [?faults], register noise corrupts the forwarded prefix
+    chain state, drawing no randomness.  It also computes each node's
+    SWAP test against [v_(j-1)]'s register wherever both registers
+    exist and the two claimed indices agree — the value every
+    noise-free trial reaches.  A trial uses that value when the arriving
+    register is physically the prepared one, and otherwise (noise
+    hands over a fresh vector) runs the test itself; the coins drawn
+    are the same either way.  The returned closure is one repetition —
+    it only draws the verifier's coins from its [Random.State.t] — and
+    may be reused for any number of trials; a closure prepared once
+    gives the same verdicts and stats as a fresh [prepare] per trial.
+    Under [?faults], register noise corrupts the forwarded prefix
     fingerprints (the classical index header is left to the
     deterministic neighbour comparison).  Nodes check their claimed
     index against the one arriving from the left and reject on

@@ -32,18 +32,21 @@ let prepare params g ~terminals ~inputs strategy =
         States.geodesic states.(0) states.(target)
           (float_of_int (Spanning_tree.depth tr v) /. float_of_int height)
   in
-  (* materialize the tree as its own network *)
+  (* materialize the tree as its own network; every node's children
+     in sender order, the order the runtime delivers an inbox in *)
   let size = Spanning_tree.size tr in
   let parent = Array.init size (Spanning_tree.parent tr) in
   let tree_g = Graph.create size in
-  let child_count = Array.make size 0 in
+  let children = Array.make size [] in
   Array.iteri
     (fun v -> function
       | Some p ->
           Graph.add_edge tree_g v p;
-          child_count.(p) <- child_count.(p) + 1
+          children.(p) <- v :: children.(p)
       | None -> ())
     parent;
+  let children = Array.map List.rev children in
+  let child_count = Array.map List.length children in
   let root = Spanning_tree.root tr in
   let role =
     Array.init size (fun v ->
@@ -51,6 +54,35 @@ let prepare params g ~terminals ~inputs strategy =
         | Some i when v <> root -> Leaf states.(i)
         | Some _ -> Root states.(0)
         | None -> Internal (internal_state v))
+  in
+  (* A node's test on its own register and its children's, in sender
+     order: the permutation test over all of them, or (FGNP21
+     ablation) the SWAP test against one child. *)
+  let perm_test own regs =
+    Sim.perm_accept ([| own |] :: List.map (fun reg -> [| reg |]) regs)
+  in
+  let swap_test own reg = Sim.swap_accept [| own |] [| reg |] in
+  let use_permutation_test = params.Eq_tree.use_permutation_test in
+  (* Every testing node's inbox in a noise-free run — each child's own
+     state — and the values of its test on that inbox: the
+     permutation test's one value, or one SWAP value per child. *)
+  let noise_free =
+    Array.init size (fun v ->
+        match (role.(v), children.(v)) with
+        | (Root own | Internal own), _ :: _ ->
+            let inbox =
+              List.map
+                (fun u ->
+                  match role.(u) with Leaf s | Root s | Internal s -> (u, s))
+                children.(v)
+            in
+            let regs = List.map snd inbox in
+            let values =
+              if use_permutation_test then [| perm_test own regs |]
+              else Array.of_list (List.map (swap_test own) regs)
+            in
+            Some (inbox, values)
+        | _ -> None)
   in
   let program st =
     {
@@ -79,17 +111,31 @@ let prepare params g ~terminals ~inputs strategy =
               in
               if senders < child_count.(id) then
                 state.verdict <- Runtime.Reject;
+              (* the prepared values when exactly the expected senders
+                 delivered their registers untouched; noise hands over
+                 fresh vectors, drops and duplicates change the inbox *)
+              let prepared =
+                match noise_free.(id) with
+                | Some (expected, values)
+                  when List.equal
+                         (fun (u, a) (w, b) -> u = w && a == b)
+                         expected inbox ->
+                    Some values
+                | _ -> None
+              in
               (match (state.kept, inbox) with
               | Some own, _ :: _ ->
-                  let sents = List.map (fun (_, reg) -> [| reg |]) inbox in
                   let p =
-                    if params.Eq_tree.use_permutation_test then
-                      Sim.perm_accept ([| own |] :: sents)
+                    if use_permutation_test then
+                      match prepared with
+                      | Some values -> values.(0)
+                      | None -> perm_test own (List.map snd inbox)
                     else begin
                       (* FGNP21 ablation: uniformly random child *)
-                      let arr = Array.of_list sents in
-                      let pick = arr.(Random.State.int st (Array.length arr)) in
-                      Sim.swap_accept [| own |] pick
+                      let i = Random.State.int st (List.length inbox) in
+                      match prepared with
+                      | Some values -> values.(i)
+                      | None -> swap_test own (snd (List.nth inbox i))
                     end
                   in
                   if Random.State.float st 1. > p then

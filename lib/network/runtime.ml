@@ -157,7 +157,11 @@ let run_turns ?faults ?st ?deadline:deadline_opt g ~schedule ~prover program =
      instead of hanging the harness.  [limit <= 0] disables it; the
      default is generous enough that no legitimate run ever trips. *)
   let limit =
-    match deadline_opt with Some d -> d | None -> deadline ()
+    match deadline_opt with
+    | Some d when Float.is_nan d ->
+        invalid_arg "Runtime.run_turns: NaN deadline"
+    | Some d -> d
+    | None -> deadline ()
   in
   let check_deadline =
     if limit > 0. then begin

@@ -204,7 +204,8 @@ type stats = {
     @raise Protocol_error if a node addresses a non-neighbour or the
     prover addresses a node outside the graph.
     @raise Deadline_exceeded if the execution overruns its deadline.
-    @raise Invalid_argument if coins are needed and [st] is missing. *)
+    @raise Invalid_argument if coins are needed and [st] is missing,
+    or if [deadline] is NaN. *)
 val run_turns :
   ?faults:'m Fault.t ->
   ?st:Random.State.t ->

@@ -111,34 +111,67 @@ type prepared =
   Random.State.t ->
   Runtime.verdict array * Runtime.stats
 
-(* Hands [f] every demo (instance, strategy) pair of an entry with a
-   backend, as a label, the strategy's index and a thunk preparing
-   the pair at [small_spec]. *)
-let iter_demo_strategies (Registry.Entry e)
+(* An iteration over (instance, strategy) pairs, handing its
+   callback a label, the strategy's index and a thunk preparing the
+   pair. *)
+type strategies = (string -> int -> (unit -> prepared) -> unit) -> unit
+
+(* Hands [f] every (instance, strategy) pair of [p] on the [yes] and
+   [no] instances, as a label, the strategy's index and a thunk
+   preparing the pair with [backend]. *)
+let iter_strategies id (p : ('i, 'p) Dqma.protocol)
+    (backend : 'i -> 'p -> prepared) (yes, no)
     (f : string -> int -> (unit -> prepared) -> unit) =
+  List.iter
+    (fun (label, inst) ->
+      let provers =
+        (match p.Dqma.honest inst with
+        | Some h -> [ ("honest", h) ]
+        | None -> [])
+        @ p.Dqma.attacks inst
+      in
+      List.iteri
+        (fun i (name, prover) ->
+          f
+            (Printf.sprintf "%s/%s %s" id label name)
+            i
+            (fun () -> backend inst prover))
+        provers)
+    [ ("yes", yes); ("no", no) ]
+
+(* Every demo (instance, strategy) pair of an entry with a backend, at
+   [small_spec]. *)
+let iter_demo_strategies (Registry.Entry e) f =
   match e.backend with
   | None -> ()
   | Some mk ->
       let spec = e.demo_fix small_spec in
-      let p = e.protocol spec in
-      let backend = mk spec in
-      let yes, no = e.demo (Registry.context_of spec) in
-      List.iter
-        (fun (label, inst) ->
-          let provers =
-            (match p.Dqma.honest inst with
-            | Some h -> [ ("honest", h) ]
-            | None -> [])
-            @ p.Dqma.attacks inst
-          in
-          List.iteri
-            (fun i (name, prover) ->
-              f
-                (Printf.sprintf "%s/%s %s" e.meta.Registry.id label name)
-                i
-                (fun () -> backend inst prover))
-            provers)
-        [ ("yes", yes); ("no", no) ]
+      iter_strategies e.meta.Registry.id (e.protocol spec) (mk spec)
+        (e.demo (Registry.context_of spec))
+        f
+
+(* The same for the EQ tree run as the FGNP21 ablation (a SWAP test
+   against one random child instead of the permutation test), which no
+   registry entry exposes: the [eqt] demo instances and strategies
+   with [use_permutation_test = false]. *)
+let iter_fgnp21_strategies f =
+  let (Registry.Entry e) = entry "eqt" in
+  let spec = e.demo_fix small_spec in
+  let params =
+    Eq_tree.make ?repetitions:spec.repetitions ~use_permutation_test:false
+      ~seed:spec.seed ~n:spec.n ~r:spec.r ()
+  in
+  let ctx = Registry.context_of spec in
+  let graph, terminals = Registry.topology_graph spec.topology ~t:spec.t in
+  let mk inputs = { Dqma.graph; terminals; inputs } in
+  iter_strategies "eqt-fgnp21" (Dqma.eq_tree params)
+    (fun mi strategy ->
+      Runtime_tree.prepare params mi.Dqma.graph ~terminals:mi.Dqma.terminals
+        ~inputs:mi.Dqma.inputs strategy)
+    ( mk (Array.make spec.t ctx.x),
+      mk (Array.init spec.t (fun i -> if i = spec.t - 1 then ctx.y else ctx.x))
+    )
+    f
 
 (* The staging contract: on every demo instance and strategy, a
    backend closure prepared once and reused for [k] trials gives the
@@ -188,6 +221,69 @@ let test_perfect_faults_view entry () =
     (what ^ ": coin stream position")
     (Random.State.bits plain) (Random.State.bits faulted)
 
+(* A fault environment under which every register arrives as a fresh
+   vector of the same value: the link corrupts every delivery, and the
+   corruption is a copy. *)
+let copying_env trial =
+  Fault_env.make
+    ~qnoise:(fun _ v -> Qdp_linalg.Vec.copy v)
+    ~st:(Random.State.make [| 0xc09; trial |])
+    { Fault.none with default_link = { Fault.perfect_link with corrupt = 1. } }
+
+(* A backend's test values prepared for the noise-free run are only
+   a shortcut: a run in which every register arrives as a copy, so
+   that every node computes its test afresh, gives the same verdicts
+   and traffic and leaves the coin stream at the same position. *)
+let test_copied_registers (iter : strategies) () =
+  let k = 50 in
+  iter @@ fun what i prepare ->
+  let plain_run = prepare () and copied_run = prepare () in
+  let plain = Random.State.make [| 0xfa11; i |] in
+  let copied = Random.State.make [| 0xfa11; i |] in
+  let accepts = Array.map (fun v -> v = Runtime.Accept) in
+  for trial = 1 to k do
+    let v0, s0 = plain_run plain in
+    let v1, s1 = copied_run ~faults:(copying_env trial) copied in
+    let what = Printf.sprintf "%s trial %d" what trial in
+    Alcotest.(check (array bool)) (what ^ ": verdicts") (accepts v0)
+      (accepts v1);
+    Alcotest.(check int) (what ^ ": messages") s0.Runtime.messages
+      s1.Runtime.messages;
+    Alcotest.(check (list (pair (pair int int) int)))
+      (what ^ ": per-edge traffic") s0.Runtime.per_edge s1.Runtime.per_edge
+  done;
+  Alcotest.(check int)
+    (what ^ ": coin stream position")
+    (Random.State.bits plain) (Random.State.bits copied)
+
+let kernel_calls () =
+  let snap = Qdp_obs.Metrics.snapshot () in
+  List.map
+    (fun name ->
+      match List.assoc_opt name snap with
+      | Some (Qdp_obs.Metrics.Counter_v n) -> n
+      | _ -> 0)
+    [ "kernel.swap_accept.calls"; "kernel.perm_accept.calls" ]
+
+(* The test kernels run in [prepare], not in the trial loop: with no
+   faults, the SWAP and permutation-test counters grow by the same
+   amount over 1 trial as over 50. *)
+let test_kernels_in_prepare (iter : strategies) () =
+  Qdp_obs.with_enabled true @@ fun () ->
+  iter @@ fun what i prepare ->
+  let growth trials =
+    let run = prepare () in
+    let st = Random.State.make [| 0x4015; i |] in
+    let before = kernel_calls () in
+    for _ = 1 to trials do
+      ignore (run st : Runtime.verdict array * Runtime.stats)
+    done;
+    List.map2 ( - ) (kernel_calls ()) before
+  in
+  Alcotest.(check (list int))
+    (what ^ ": kernel calls after prepare, 1 vs 50 trials")
+    (growth 1) (growth 50)
+
 let backend_cases test =
   List.filter_map
     (fun entry ->
@@ -196,6 +292,15 @@ let backend_cases test =
         Some (Alcotest.test_case info.Registry.info_id `Quick (test entry))
       else None)
     (Registry.all ())
+
+(* The backends whose nodes run SWAP or permutation tests, with the
+   EQ tree's FGNP21 ablation as one more. *)
+let quantum_test_cases test =
+  List.map
+    (fun id ->
+      Alcotest.test_case id `Quick (test (iter_demo_strategies (entry id))))
+    [ "gt"; "eq"; "eqt" ]
+  @ [ Alcotest.test_case "eqt FGNP21" `Quick (test iter_fgnp21_strategies) ]
 
 let () =
   Alcotest.run "cross_validate"
@@ -220,4 +325,11 @@ let () =
         ] );
       ("prepared once", backend_cases test_prepared_once);
       ("perfect faults view", backend_cases test_perfect_faults_view);
+      ("copied registers", quantum_test_cases test_copied_registers);
+      ( "kernels in prepare",
+        backend_cases (fun e -> test_kernels_in_prepare (iter_demo_strategies e))
+        @ [
+            Alcotest.test_case "eqt FGNP21" `Quick
+              (test_kernels_in_prepare iter_fgnp21_strategies);
+          ] );
     ]

@@ -407,6 +407,30 @@ let test_deadline_nan () =
       Runtime.set_deadline Float.nan);
   Alcotest.(check (float 0.)) "deadline unchanged" saved (Runtime.deadline ())
 
+(* The per-call deadline takes the same stance: a NaN [?deadline] is
+   refused before any round runs, not read as "no deadline". *)
+let test_run_turns_deadline_nan () =
+  let rounds = ref 0 in
+  let counting =
+    {
+      Runtime.tp_init = (fun _ -> ());
+      tp_deliver = (fun ~turn:_ ~id:_ () _ -> ());
+      tp_round =
+        (fun ~turn:_ ~round:_ ~coin:_ ~id:_ () ~inbox:_ ->
+          incr rounds;
+          ((), []));
+      tp_finish = (fun ~transcript:_ ~id:_ () -> Runtime.Accept);
+    }
+  in
+  Alcotest.check_raises "NaN rejected"
+    (Invalid_argument "Runtime.run_turns: NaN deadline") (fun () ->
+      ignore
+        (Runtime.run_turns ~deadline:Float.nan (Graph.path 2)
+           ~schedule:(Runtime.Turn.one_shot ~rounds:3)
+           ~prover:(fun ~turn:_ _ -> [])
+           counting));
+  Alcotest.(check int) "no round ran" 0 !rounds
+
 let qcheck = List.map QCheck_alcotest.to_alcotest
 
 let () =
@@ -434,6 +458,8 @@ let () =
           Alcotest.test_case "stepped fake clock" `Quick
             test_deadline_stepped_clock;
           Alcotest.test_case "NaN rejected" `Quick test_deadline_nan;
+          Alcotest.test_case "per-call NaN rejected" `Quick
+            test_run_turns_deadline_nan;
         ] );
       ( "experiment",
         [
